@@ -26,7 +26,7 @@
 //   * exactly one operator-cache acquisition per job: after the first
 //     job the cache never misses (one hit per batch, not per RHS);
 //   * the k=1 batch solution is bitwise-identical to the plain
-//     single-RHS solve of the same column (the delegation contract);
+//     single-RHS solve of the same column (the width-1 pin);
 //   * with 1 and 4 both in --k: batched k=4 time-per-RHS is strictly
 //     below the k=1 time-per-RHS (the CI perf gate).
 
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
     }
     if (plain_solution.empty()) plain_solution = singles.front().solution;
 
-    // Delegation pin: the k=1 batch must be bitwise the plain solve.
+    // Width-1 pin: the k=1 batch must be bitwise the plain solve.
     if (k == 1 && batch.solution != plain_solution) {
       std::printf("!! k=1 batch solution differs from the plain single-RHS "
                   "solve (bitwise)\n");

@@ -357,6 +357,17 @@ void SolverOptions::validate() const {
         " requires solver=sstep (batched multi-RHS solves run through "
         "block s-step GMRES)");
   }
+  // The lookahead and the stability autopilot are single-RHS features
+  // of the s-step engine: reject them rather than ignore them.
+  if (rhs > 1 && autopilot) {
+    throw std::invalid_argument("SolverOptions: autopilot=1 requires rhs=1, "
+                                "got rhs=" + std::to_string(rhs));
+  }
+  if (rhs > 1 && pipeline_depth > 0) {
+    throw std::invalid_argument(
+        "SolverOptions: pipeline_depth=" + std::to_string(pipeline_depth) +
+        " requires rhs=1, got rhs=" + std::to_string(rhs));
+  }
   require_int("nx", nx, 1, ">= 1");
   require_int("ny", ny, 0, ">= 0 (0 inherits nx)");
   require_int("nz", nz, 0, ">= 0 (0 inherits nx)");

@@ -85,13 +85,14 @@ struct SolverOptions {
   // ---- execution ----------------------------------------------------
   int ranks = 4;            ///< SPMD rank count
   std::string net = "off";  ///< off | calibrated | ethernet | hw
-  /// Number of right-hand sides solved as one batch (block s-step
-  /// GMRES, krylov/block_sstep_gmres.hpp).  rhs=1 is the classic
-  /// single-RHS path, bitwise-unchanged.  rhs=k > 1 requires
-  /// solver=sstep: the facade expects a length n*k RHS (column t at
-  /// offset t*n), runs all k columns through shared panels — one halo
-  /// exchange per operator application, one Gram reduce per stage
-  /// regardless of k — and reports per-RHS results[] in the /7 schema.
+  /// Number of right-hand sides solved as one batch (the s-step
+  /// engine's block width, krylov/sstep_gmres.hpp).  rhs=1 is the
+  /// classic single-RHS path.  rhs=k > 1 requires solver=sstep and
+  /// rejects autopilot=1 and pipeline_depth > 0: the facade expects a
+  /// length n*k RHS (column t at offset t*n), runs all k columns
+  /// through shared panels — one halo exchange per operator
+  /// application, one Gram reduce per stage regardless of k — and
+  /// reports per-RHS results[] in the /7 schema.
   int rhs = 1;
   /// Warm-start request (0 or 1; interpreted by the solver service,
   /// src/service/): 1 seeds x0 from the cached operator's previous

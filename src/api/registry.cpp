@@ -40,27 +40,35 @@ Registry<OrthoEntry> make_ortho_registry() {
   // s-step block orthogonalizations (Table III columns + diagnostics).
   const auto scheme_entry = [&reg](const std::string& name,
                                    std::string description,
-                                   krylov::OrthoScheme scheme) {
+                                   krylov::ManagerFactory factory) {
     OrthoEntry e;
     e.description = std::move(description);
     e.sstep = true;
-    e.configure_sstep = [scheme](const SolverOptions&,
-                                 krylov::SStepGmresConfig& cfg) {
-      cfg.scheme = scheme;
+    e.configure_sstep = [factory = std::move(factory)](
+                            const SolverOptions&, krylov::SStepGmresConfig& cfg) {
+      cfg.manager_factory = factory;
     };
     reg.add(name, e);
   };
   scheme_entry("bcgs2", "BCGS2 + CholQR2, the original s-step (5 reduces/panel)",
-               krylov::OrthoScheme::kBcgs2CholQr2);
+               [](const krylov::SStepGmresConfig&) {
+                 return ortho::make_bcgs2_manager(ortho::IntraKind::kCholQR2);
+               });
   scheme_entry("bcgs2_hhqr", "BCGS2 + Householder QR, stability reference",
-               krylov::OrthoScheme::kBcgs2Hhqr);
+               [](const krylov::SStepGmresConfig&) {
+                 return ortho::make_bcgs2_manager(ortho::IntraKind::kHHQR);
+               });
   scheme_entry("bcgs_pip", "single-pass BCGS-PIP (1 reduce, no re-ortho)",
-               krylov::OrthoScheme::kBcgsPip);
+               [](const krylov::SStepGmresConfig&) {
+                 return ortho::make_bcgs_pip_manager();
+               });
   scheme_entry("bcgs_pip2", "BCGS-PIP2, the paper's one-stage (2 reduces)",
-               krylov::OrthoScheme::kBcgsPip2);
+               [](const krylov::SStepGmresConfig&) {
+                 return ortho::make_bcgs_pip2_manager();
+               });
   scheme_entry("two_stage",
                "the paper's two-stage scheme (1 + s/bs reduces/panel)",
-               krylov::OrthoScheme::kTwoStage);
+               krylov::make_two_stage);
   return reg;
 }
 

@@ -90,8 +90,8 @@ class Registry {
 struct OrthoEntry {
   std::string description;
   bool sstep = true;
-  /// Applies the scheme to a lowered s-step config (sets `scheme` for
-  /// built-ins, or `manager_factory` for registered extensions).
+  /// Applies the scheme to a lowered s-step config (installs its
+  /// `manager_factory`).
   std::function<void(const SolverOptions&, krylov::SStepGmresConfig&)>
       configure_sstep;
   /// Applies the scheme to a lowered standard-GMRES config.

@@ -1,6 +1,6 @@
 #include "api/solver.hpp"
 
-#include "krylov/block_sstep_gmres.hpp"
+#include "krylov/sstep_gmres.hpp"
 #include "par/config.hpp"
 #include "par/spmd.hpp"
 #include "sparse/partition.hpp"
@@ -189,7 +189,6 @@ SolveReport Solver::solve() {
   // Zero-guess solves keep the classic criterion, where the two agree.
   // Batched solves track one reference per RHS column, so a warm
   // start on one column never re-normalizes another's target.
-  double conv_reference = 0.0;
   std::vector<double> conv_refs;
   if (!x0_.empty()) {
     for (std::size_t t = 0; t < nrhs; ++t) {
@@ -200,7 +199,6 @@ SolveReport Solver::solve() {
       }
       conv_refs.push_back(std::sqrt(sq));
     }
-    conv_reference = conv_refs[0];
   }
 
   // Resilience plumbing: borrow the caller's job-scoped injector /
@@ -288,31 +286,24 @@ SolveReport Solver::solve() {
                          : prec_entry.make(opts_, dist);
 
     krylov::SolveResult res;
-    if (nrhs > 1) {
-      // Batched multi-RHS path: one block solve over all k columns.
-      // The rank-local RHS block is a strided view into the global b
-      // (column t at offset t*n + begin, leading dimension n).
-      krylov::BlockSStepGmresConfig bcfg;
-      bcfg.base = opts_.sstep_config();
-      bcfg.base.cancel = cancel;
-      if (comm.rank() == 0) bcfg.base.on_restart = observer;
-      bcfg.conv_reference = conv_refs;
+    if (opts_.is_sstep()) {
+      // One s-step solve over all rhs columns.  The rank-local RHS
+      // block is a strided view into the global b (column t at offset
+      // t*n + begin, leading dimension n).
+      krylov::SStepGmresConfig cfg = opts_.sstep_config();
+      cfg.conv_reference = conv_refs;
+      cfg.cancel = cancel;
+      if (comm.rank() == 0) cfg.on_restart = observer;
       const dense::ConstMatrixView bv{
           b.data() + begin, static_cast<dense::index_t>(nloc),
           static_cast<dense::index_t>(nrhs), static_cast<dense::index_t>(n)};
       const dense::MatrixView xv{x.data(), static_cast<dense::index_t>(nloc),
                                  static_cast<dense::index_t>(nrhs),
                                  static_cast<dense::index_t>(nloc)};
-      res = krylov::block_sstep_gmres(comm, dist, prec.get(), bv, xv, bcfg);
-    } else if (opts_.is_sstep()) {
-      krylov::SStepGmresConfig cfg = opts_.sstep_config();
-      cfg.conv_reference = conv_reference;
-      cfg.cancel = cancel;
-      if (comm.rank() == 0) cfg.on_restart = observer;
-      res = krylov::sstep_gmres(comm, dist, prec.get(), b_local, x, cfg);
+      res = krylov::sstep_gmres(comm, dist, prec.get(), bv, xv, cfg);
     } else {
       krylov::GmresConfig cfg = opts_.gmres_config();
-      cfg.conv_reference = conv_reference;
+      cfg.conv_reference = conv_refs.empty() ? 0.0 : conv_refs[0];
       cfg.cancel = cancel;
       if (comm.rank() == 0) cfg.on_restart = observer;
       res = krylov::gmres(comm, dist, prec.get(), b_local, x, cfg);

@@ -1,5 +1,8 @@
 #include "dense/block_householder.hpp"
 
+#include "dense/blas2.hpp"
+#include "dense/blas3.hpp"
+
 #include <cassert>
 #include <cmath>
 
@@ -8,18 +11,27 @@ namespace tsbo::dense {
 BlockHessenbergLeastSquares::BlockHessenbergLeastSquares(index_t max_cols,
                                                          index_t b,
                                                          ConstMatrixView s0)
-    : b_(b),
-      r_(max_cols + b, max_cols),
-      v_(b + 1, max_cols),
-      g_(max_cols + b, b),
-      beta_(static_cast<std::size_t>(max_cols), 0.0) {
+    : b_(b) {
   assert(b >= 1 && s0.rows == b && s0.cols == b);
+  if (b == 1) {
+    givens_.emplace(max_cols, s0(0, 0));
+    return;
+  }
+  r_ = Matrix(max_cols + b, max_cols);
+  v_ = Matrix(b + 1, max_cols);
+  g_ = Matrix(max_cols + b, b);
+  beta_.assign(static_cast<std::size_t>(max_cols), 0.0);
   for (index_t t = 0; t < b; ++t) {
     for (index_t i = 0; i < b; ++i) g_(i, t) = s0(i, t);
   }
 }
 
 void BlockHessenbergLeastSquares::append_column(std::span<const double> h) {
+  if (givens_) {
+    givens_->append_column(h);
+    ++ncols_;
+    return;
+  }
   const index_t k = ncols_;
   assert(k < r_.cols());
   assert(static_cast<index_t>(h.size()) == k + b_ + 1);
@@ -73,6 +85,7 @@ void BlockHessenbergLeastSquares::append_column(std::span<const double> h) {
 
 double BlockHessenbergLeastSquares::residual_norm(index_t t) const {
   assert(t >= 0 && t < b_);
+  if (givens_) return givens_->residual_norm();
   double s = 0.0;
   for (index_t i = 0; i < b_; ++i) {
     const double g = g_(ncols_ + i, t);
@@ -91,6 +104,18 @@ Matrix BlockHessenbergLeastSquares::solve_y() const {
     }
   }
   return y;
+}
+
+void BlockHessenbergLeastSquares::combine(ConstMatrixView q,
+                                          MatrixView z) const {
+  assert(q.cols >= ncols_ && z.cols == b_ && z.rows == q.rows);
+  if (givens_) {
+    dense::gemv(1.0, q.columns(0, ncols_), givens_->solve_y(), 0.0,
+                std::span<double>(z.col(0), static_cast<std::size_t>(z.rows)));
+    return;
+  }
+  const Matrix y = solve_y();
+  dense::gemm_nn(1.0, q.columns(0, ncols_), y.view(), 0.0, z);
 }
 
 }  // namespace tsbo::dense

@@ -11,11 +11,16 @@
 // transformed right-hand side then carries every RHS column's residual
 // norm for free: after k columns, RHS column t's minimal residual is
 // the 2-norm of its rows [k, k+b) — the block generalization of the
-// |g_{k+1}| readout of the scalar Givens solver (dense/givens.hpp),
-// to which this reduces exactly at b == 1 up to reflector sign.
+// |g_{k+1}| readout of the scalar Givens solver (dense/givens.hpp).
+//
+// Width selection lives here, not in the solver: at b == 1 the class
+// runs that Givens solver itself (and forms the correction with gemv),
+// so a width-1 block solve carries the single-RHS GMRES bits.
 
+#include "dense/givens.hpp"
 #include "dense/matrix.hpp"
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,7 +30,7 @@ namespace tsbo::dense {
 /// Columns arrive one flat column at a time (s*b per panel in block
 /// s-step GMRES); append_column() applies all previous reflectors,
 /// generates one new length-(b+1) reflector, and updates the b-column
-/// rotated RHS.
+/// rotated RHS (at b == 1: one Givens rotation, see the header note).
 class BlockHessenbergLeastSquares {
  public:
   /// max_cols: flat restart length m*b; s0: b x b seed R-factor (the
@@ -45,11 +50,16 @@ class BlockHessenbergLeastSquares {
   [[nodiscard]] index_t cols() const { return ncols_; }
   [[nodiscard]] index_t block_width() const { return b_; }
 
-  /// Solves the triangular system for Y (cols() x b): column t
-  /// minimizes ||E1 s0(:, t) - H y_t||.
-  [[nodiscard]] Matrix solve_y() const;
+  /// Z = Q(:, 0:cols()) Y, where column t of Y minimizes
+  /// ||E1 s0(:, t) - H y_t|| — the Krylov combination of the GMRES
+  /// correction, from the basis columns q (q.cols >= cols()).
+  void combine(ConstMatrixView q, MatrixView z) const;
 
  private:
+  /// Householder back-substitution for Y (cols() x b; b > 1).
+  [[nodiscard]] Matrix solve_y() const;
+
+  std::optional<HessenbergLeastSquares> givens_;  // the b == 1 solver
   index_t b_;
   index_t ncols_ = 0;
   Matrix r_;     // transformed H, (max_cols + b) x max_cols

@@ -9,14 +9,7 @@ namespace tsbo::krylov {
 
 void assemble_hessenberg(dense::ConstMatrixView r, dense::ConstMatrixView l,
                          const KrylovBasis& basis, index_t s, index_t c0,
-                         index_t c1, dense::MatrixView h) {
-  assemble_hessenberg_block(r, l, basis, s, 1, c0, c1, h);
-}
-
-void assemble_hessenberg_block(dense::ConstMatrixView r,
-                               dense::ConstMatrixView l,
-                               const KrylovBasis& basis, index_t s, index_t b,
-                               index_t c0, index_t c1, dense::MatrixView h) {
+                         index_t c1, dense::MatrixView h, index_t b) {
   assert(b >= 1);
   assert(c0 >= 0 && c0 <= c1 && c1 <= h.cols);
   assert(r.rows >= c1 + b && l.rows >= c1 + b);

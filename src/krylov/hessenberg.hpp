@@ -21,24 +21,18 @@
 
 namespace tsbo::krylov {
 
-/// Assembles H columns [c0, c1) into h ((m+1) x m storage), given that
-/// columns [0, c0) were already assembled in previous calls.  `s` is
-/// the panel size (identifies panel-start columns k with k % s == 0).
-void assemble_hessenberg(dense::ConstMatrixView r, dense::ConstMatrixView l,
-                         const KrylovBasis& basis, index_t s, index_t c0,
-                         index_t c1, dense::MatrixView h);
-
-/// Block-width-b generalization (block GMRES with b right-hand sides):
-/// flat basis column c belongs to block c / b, the three-term
-/// recurrence steps are counted in BLOCKS (basis.step(c / b)), and the
-/// resulting H is block Hessenberg with lower bandwidth b —
+/// Assembles H columns [c0, c1) into h ((m+1)*b x m*b storage), given
+/// that columns [0, c0) were already assembled in previous calls.  `s`
+/// is the panel size in blocks (identifies panel-start blocks j with
+/// j % s == 0).  With block width b (block GMRES over b right-hand
+/// sides) flat basis column c belongs to block c / b, the recurrence
+/// steps are counted in BLOCKS (basis.step(c / b)), and H is block
+/// Hessenberg with lower bandwidth b —
 ///   Rhat(:, c) = gamma R(:, c+b) + theta L(:, c) + sigma rep(c-b),
 /// nonzero in rows 0..c+b, where rep is L(:, c-b) when block c/b - 1
-/// was a panel-start block and R(:, c-b) otherwise.  `s` counts panel
-/// size in blocks.  b == 1 is exactly the single-RHS assembly above.
-void assemble_hessenberg_block(dense::ConstMatrixView r,
-                               dense::ConstMatrixView l,
-                               const KrylovBasis& basis, index_t s, index_t b,
-                               index_t c0, index_t c1, dense::MatrixView h);
+/// was a panel-start block and R(:, c-b) otherwise.
+void assemble_hessenberg(dense::ConstMatrixView r, dense::ConstMatrixView l,
+                         const KrylovBasis& basis, index_t s, index_t c0,
+                         index_t c1, dense::MatrixView h, index_t b = 1);
 
 }  // namespace tsbo::krylov

@@ -20,8 +20,13 @@ void PrecOperator::apply(par::Communicator& comm, std::span<const double> x,
 void PrecOperator::apply_block(par::Communicator& comm,
                                dense::ConstMatrixView x, dense::MatrixView y,
                                util::PhaseTimers* timers) const {
+  const auto nloc = static_cast<std::size_t>(x.rows);
+  if (x.cols == 1) {
+    apply(comm, std::span<const double>(x.col(0), nloc),
+          std::span<double>(y.col(0), nloc), timers);
+    return;
+  }
   if (m_ != nullptr) {
-    const auto nloc = static_cast<std::size_t>(x.rows);
     tmp_multi_.resize(nloc * static_cast<std::size_t>(x.cols));
     dense::MatrixView mx{tmp_multi_.data(), x.rows, x.cols, x.rows};
     if (timers) timers->start("precond");
@@ -46,38 +51,15 @@ void PrecOperator::apply_minv(std::span<const double> x, std::span<double> y,
   }
 }
 
-void matrix_powers(par::Communicator& comm, const PrecOperator& op,
-                   const KrylovBasis& basis, dense::MatrixView basis_cols,
-                   index_t first_out, index_t s, util::PhaseTimers* timers) {
-  assert(first_out >= 1 && first_out + s <= basis_cols.cols + 1);
-  const auto nloc = static_cast<std::size_t>(basis_cols.rows);
-
-  for (index_t k = 0; k < s; ++k) {
-    const index_t out_col = first_out + k;
-    const index_t in_col = out_col - 1;
-    const BasisStep& st = basis.step(in_col);
-
-    std::span<const double> x(basis_cols.col(in_col), nloc);
-    std::span<double> v(basis_cols.col(out_col), nloc);
-    op.apply(comm, x, v, timers);
-
-    if (st.theta != 0.0 || st.sigma != 0.0 || st.gamma != 1.0) {
-      const double* prev =
-          st.sigma != 0.0 ? basis_cols.col(in_col - 1) : nullptr;
-      const double inv_gamma = 1.0 / st.gamma;
-      for (std::size_t i = 0; i < nloc; ++i) {
-        double t = v[i] - st.theta * x[i];
-        if (prev != nullptr) t -= st.sigma * prev[i];
-        v[i] = t * inv_gamma;
-      }
-    }
-  }
-}
-
 void PrecOperator::apply_minv_multi(dense::ConstMatrixView x,
                                     dense::MatrixView y,
                                     util::PhaseTimers* timers) const {
   const auto nloc = static_cast<std::size_t>(x.rows);
+  if (x.cols == 1) {
+    apply_minv(std::span<const double>(x.col(0), nloc),
+               std::span<double>(y.col(0), nloc), timers);
+    return;
+  }
   if (m_ != nullptr) {
     if (timers) timers->start("precond");
     m_->apply_multi(nloc, static_cast<std::size_t>(x.cols), x.data,
@@ -91,16 +73,16 @@ void PrecOperator::apply_minv_multi(dense::ConstMatrixView x,
   }
 }
 
-void matrix_powers_block(par::Communicator& comm, const PrecOperator& op,
-                         const KrylovBasis& basis, dense::MatrixView basis_cols,
-                         index_t first_out_block, index_t s, index_t b,
-                         util::PhaseTimers* timers) {
-  assert(first_out_block >= 1 && b >= 1);
-  assert((first_out_block + s) * b <= basis_cols.cols + b);
+void matrix_powers(par::Communicator& comm, const PrecOperator& op,
+                   const KrylovBasis& basis, dense::MatrixView basis_cols,
+                   index_t first_out, index_t s,
+                   util::PhaseTimers* timers, index_t b) {
+  assert(first_out >= 1 && b >= 1);
+  assert((first_out + s) * b <= basis_cols.cols + b);
   const auto nloc = static_cast<std::size_t>(basis_cols.rows);
 
   for (index_t k = 0; k < s; ++k) {
-    const index_t out_block = first_out_block + k;
+    const index_t out_block = first_out + k;
     const index_t in_block = out_block - 1;
     const BasisStep& st = basis.step(in_block);
 

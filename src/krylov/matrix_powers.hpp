@@ -34,7 +34,8 @@ class PrecOperator {
 
   /// Multi-column operator apply Y = A M^{-1} X: one fused
   /// preconditioner sweep plus ONE halo exchange for all b columns
-  /// (DistCsr::spmm).  Column-major rank-local views.
+  /// (DistCsr::spmm).  Column-major rank-local views.  One column runs
+  /// apply() itself, so width-1 callers get the single-vector bits.
   void apply_block(par::Communicator& comm, dense::ConstMatrixView x,
                    dense::MatrixView y, util::PhaseTimers* timers) const;
 
@@ -43,7 +44,8 @@ class PrecOperator {
   void apply_minv(std::span<const double> x, std::span<double> y,
                   util::PhaseTimers* timers) const;
 
-  /// Multi-column M^{-1} apply (identity copy when no preconditioner).
+  /// Multi-column M^{-1} apply (identity copy when no preconditioner);
+  /// one column runs apply_minv().
   void apply_minv_multi(dense::ConstMatrixView x, dense::MatrixView y,
                         util::PhaseTimers* timers) const;
 
@@ -54,25 +56,17 @@ class PrecOperator {
   mutable util::aligned_vector<double> tmp_multi_;  ///< nloc x b scratch
 };
 
-/// Runs MPK: fills basis columns [first_out, first_out + s) from the
+/// Runs MPK over a block of b columns: fills basis BLOCK columns
+/// [first_out, first_out + s) — each block is b flat columns — from the
 /// recurrence v_{k+1} = (Op x_k - theta_k x_k - sigma_k v_{k-1}) /
-/// gamma_k, where x_k is basis column first_out - 1 + k_local and the
-/// global step index is its column index.
+/// gamma_k applied blockwise, where the step index is counted in blocks
+/// (block j is generated with basis.step(j - 1)).  Each of the s steps
+/// costs one operator application; at b == 1 that is the single-vector
+/// apply, wider blocks share one fused preconditioner sweep and ONE
+/// halo exchange (PrecOperator::apply_block).
 void matrix_powers(par::Communicator& comm, const PrecOperator& op,
                    const KrylovBasis& basis, dense::MatrixView basis_cols,
-                   index_t first_out, index_t s, util::PhaseTimers* timers);
-
-/// Block MPK for block s-step GMRES: fills basis BLOCK columns
-/// [first_out_block, first_out_block + s) — each block is b flat
-/// columns — from the same three-term recurrence applied blockwise,
-/// with the step index counted in BLOCKS (block j uses basis.step(j-1)
-/// for its generation, matching the single-RHS solver's per-column
-/// step indexing at b == 1).  Each of the s steps costs one fused
-/// operator application (one preconditioner sweep + ONE halo
-/// exchange for all b columns).
-void matrix_powers_block(par::Communicator& comm, const PrecOperator& op,
-                         const KrylovBasis& basis, dense::MatrixView basis_cols,
-                         index_t first_out_block, index_t s, index_t b,
-                         util::PhaseTimers* timers);
+                   index_t first_out, index_t s, util::PhaseTimers* timers,
+                   index_t b = 1);
 
 }  // namespace tsbo::krylov

@@ -13,18 +13,6 @@ namespace tsbo::krylov {
 
 using dense::index_t;
 
-/// Which block-orthogonalization scheme the s-step solver uses
-/// (Table III's four columns plus diagnostics).
-enum class OrthoScheme {
-  kBcgs2CholQr2,  ///< original s-step GMRES (5 reduces / s steps)
-  kBcgs2Hhqr,     ///< stability reference (O(s) reduces / s steps)
-  kBcgsPip,       ///< single-pass PIP (1 reduce; no re-orthogonalization)
-  kBcgsPip2,      ///< the paper's new one-stage variant (2 reduces)
-  kTwoStage,      ///< the paper's contribution (1 + s/bs reduces)
-};
-
-const char* ortho_scheme_name(OrthoScheme s);
-
 /// Snapshot handed to a solver's per-restart observer (progress
 /// reporting, residual-history capture).  `timers` points at the live
 /// per-rank accumulator: valid only for the duration of the callback.
@@ -36,7 +24,8 @@ struct ProgressEvent {
   int restarts = 0;     ///< completed restart cycles
   double relres = 0.0;  ///< recurrence residual estimate
   /// ||b - A x|| / ||b|| recomputed explicitly at the restart boundary
-  /// (free: restarted GMRES rebuilds the residual anyway).
+  /// (free: restarted GMRES rebuilds the residual anyway); a block
+  /// solve reports its worst active column.
   double explicit_relres = 0.0;
   bool converged = false;
   const util::PhaseTimers* timers = nullptr;
@@ -81,9 +70,9 @@ struct AutopilotEvent {
   bool dd_after = false;
 };
 
-/// Per-right-hand-side outcome of a block (multi-RHS) solve.  The
-/// block solver tracks each column's convergence independently and
-/// deflates converged columns at restart boundaries.
+/// Per-right-hand-side outcome of an s-step solve.  The solver tracks
+/// each column's convergence independently and deflates accepted
+/// columns at restart boundaries.
 struct RhsResult {
   bool converged = false;
   long iters = 0;          ///< flat inner iterations the column was active for
@@ -131,10 +120,10 @@ struct SolveResult {
   index_t autopilot_final_s = 0;     ///< step size in effect at exit
   bool autopilot_final_dd = false;   ///< Gram precision in effect at exit
 
-  /// Per-RHS outcomes of a block (rhs=k) solve, in column order; empty
-  /// for single-RHS solves.  The scalar fields above then aggregate:
-  /// converged = all columns converged, relres/true_relres = the worst
-  /// column's.
+  /// Per-RHS outcomes of an s-step solve, one per column in column
+  /// order (empty for standard GMRES).  The scalar fields above
+  /// aggregate them: converged = all columns converged,
+  /// relres/true_relres = the worst column's.
   std::vector<RhsResult> rhs_results;
 
   /// Convenience sums over the timer buckets (seconds).

@@ -1,76 +1,70 @@
 #include "krylov/sstep_gmres.hpp"
 
 #include "dense/blas1.hpp"
-#include "dense/blas2.hpp"
-#include "dense/givens.hpp"
+#include "dense/block_householder.hpp"
 #include "krylov/hessenberg.hpp"
-#include "util/aligned.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace tsbo::krylov {
 
-const char* ortho_scheme_name(OrthoScheme s) {
-  switch (s) {
-    case OrthoScheme::kBcgs2CholQr2:
-      return "BCGS2(CholQR2)";
-    case OrthoScheme::kBcgs2Hhqr:
-      return "BCGS2(HHQR)";
-    case OrthoScheme::kBcgsPip:
-      return "BCGS-PIP";
-    case OrthoScheme::kBcgsPip2:
-      return "BCGS-PIP2";
-    case OrthoScheme::kTwoStage:
-      return "Two-stage";
+std::unique_ptr<ortho::BlockOrthoManager> make_two_stage(
+    const SStepGmresConfig& cfg) {
+  if (cfg.bs < cfg.s || cfg.bs > cfg.m || cfg.bs % cfg.s != 0) {
+    throw std::invalid_argument(
+        "sstep_gmres: two-stage requires s <= bs <= m with s | bs");
   }
-  return "?";
+  return ortho::make_two_stage_manager(cfg.bs);
 }
 
 std::unique_ptr<ortho::BlockOrthoManager> make_manager(
     const SStepGmresConfig& cfg) {
-  if (cfg.manager_factory) {
-    auto manager = cfg.manager_factory(cfg);
-    if (manager == nullptr) {
-      throw std::invalid_argument(
-          "make_manager: manager_factory returned null for this config");
-    }
-    return manager;
+  if (!cfg.manager_factory) return make_two_stage(cfg);
+  auto manager = cfg.manager_factory(cfg);
+  if (manager == nullptr) {
+    throw std::invalid_argument(
+        "make_manager: manager_factory returned null for this config");
   }
-  switch (cfg.scheme) {
-    case OrthoScheme::kBcgs2CholQr2:
-      return ortho::make_bcgs2_manager(ortho::IntraKind::kCholQR2);
-    case OrthoScheme::kBcgs2Hhqr:
-      return ortho::make_bcgs2_manager(ortho::IntraKind::kHHQR);
-    case OrthoScheme::kBcgsPip:
-      return ortho::make_bcgs_pip_manager();
-    case OrthoScheme::kBcgsPip2:
-      return ortho::make_bcgs_pip2_manager();
-    case OrthoScheme::kTwoStage:
-      return ortho::make_two_stage_manager(cfg.bs);
-  }
-  throw std::invalid_argument("make_manager: unknown scheme");
+  return manager;
 }
 
 namespace {
 
-void validate(const SStepGmresConfig& cfg) {
+void validate(const SStepGmresConfig& cfg, dense::ConstMatrixView b_rhs,
+              dense::ConstMatrixView x, index_t nloc) {
+  const index_t nrhs = b_rhs.cols;
+  if (nrhs < 1 || b_rhs.rows != nloc || x.rows != nloc || x.cols != nrhs) {
+    throw std::invalid_argument(
+        "sstep_gmres: B and X must both be n_local x b with b >= 1");
+  }
   if (cfg.s <= 0 || cfg.m <= 0 || cfg.m % cfg.s != 0) {
     throw std::invalid_argument("sstep_gmres: s must divide m");
-  }
-  if (cfg.scheme == OrthoScheme::kTwoStage) {
-    if (cfg.bs < cfg.s || cfg.bs > cfg.m || cfg.bs % cfg.s != 0) {
-      throw std::invalid_argument(
-          "sstep_gmres: two-stage requires s <= bs <= m with s | bs");
-    }
   }
   if ((cfg.basis == BasisKind::kNewton || cfg.basis == BasisKind::kChebyshev) &&
       !(cfg.lambda_max > cfg.lambda_min)) {
     throw std::invalid_argument(
         "sstep_gmres: Newton/Chebyshev bases need a spectral interval");
+  }
+  if (!cfg.conv_reference.empty() &&
+      static_cast<index_t>(cfg.conv_reference.size()) != nrhs) {
+    throw std::invalid_argument(
+        "sstep_gmres: conv_reference must hold one norm per right-hand side");
+  }
+  if (nrhs > 1 && cfg.autopilot.enabled) {
+    throw std::invalid_argument(
+        "sstep_gmres: autopilot requires a single right-hand side (got " +
+        std::to_string(nrhs) + ")");
+  }
+  if (nrhs > 1 && cfg.pipeline_depth > 0) {
+    throw std::invalid_argument(
+        "sstep_gmres: pipeline_depth > 0 requires a single right-hand side "
+        "(got " + std::to_string(nrhs) + ")");
   }
   if (cfg.autopilot.enabled) {
     if (!(cfg.autopilot.kappa_high > cfg.autopilot.kappa_low) ||
@@ -124,25 +118,33 @@ std::vector<index_t> step_ladder(const SStepGmresConfig& cfg) {
 /// margin, mirroring kappa_high's default margin to eps^{-1/2}).
 constexpr double kDdKappaHigh = 1e13;
 
-void residual(par::Communicator& comm, const sparse::DistCsr& a,
-              std::span<const double> b, std::span<const double> x,
-              std::span<double> r, std::span<double> tmp,
-              util::PhaseTimers* timers) {
-  a.spmv(comm, x, tmp, timers);
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - tmp[i];
-}
-
 }  // namespace
 
 SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
                         const precond::Preconditioner* m_prec,
-                        std::span<const double> b, std::span<double> x,
+                        dense::ConstMatrixView b_rhs, dense::MatrixView x,
                         const SStepGmresConfig& cfg) {
-  validate(cfg);
+  const index_t k = b_rhs.cols;
   const auto nloc = static_cast<std::size_t>(a.n_local());
-  assert(b.size() == nloc && x.size() == nloc);
+  const auto rows = static_cast<index_t>(nloc);
+  validate(cfg, b_rhs, x, rows);
+  const index_t m = cfg.m;
+
+  // The manager sees the active block width as wider panels: m, s and
+  // bs counted in flat columns.  Built before any collective, so an
+  // invalid scheme configuration fails identically on every rank.
+  const auto manager_for = [&cfg](index_t bw) {
+    SStepGmresConfig mcfg = cfg;
+    mcfg.m *= bw;
+    mcfg.s *= bw;
+    mcfg.bs *= bw;
+    return make_manager(mcfg);
+  };
+  std::unique_ptr<ortho::BlockOrthoManager> manager = manager_for(k);
+  index_t manager_b = k;
 
   SolveResult res;
+  res.rhs_results.resize(static_cast<std::size_t>(k));
   const par::CommStats comm_before = comm.stats();
   ortho::OrthoContext octx;
   octx.comm = &comm;
@@ -168,10 +170,11 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     for (sparse::ord i = 0; i < local.rows; ++i) {
       double row = 0.0;
       double diag = 1.0;
-      for (sparse::offset k = local.row_ptr[i]; k < local.row_ptr[i + 1]; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
-        row += std::abs(local.values[kk]);
-        if (local.col_idx[kk] == i) diag = std::abs(local.values[kk]);
+      for (sparse::offset kk = local.row_ptr[i]; kk < local.row_ptr[i + 1];
+           ++kk) {
+        const auto e = static_cast<std::size_t>(kk);
+        row += std::abs(local.values[e]);
+        if (local.col_idx[e] == i) diag = std::abs(local.values[e]);
       }
       // With a (roughly diagonal-normalizing) preconditioner the
       // operator is closer to D^{-1}A; estimate accordingly.
@@ -185,7 +188,6 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     return kb;
   };
   KrylovBasis kbasis = build_basis(cfg.s);
-  std::unique_ptr<ortho::BlockOrthoManager> manager = make_manager(cfg);
 
   // Autopilot state: the step-size ladder plus the Gram precision in
   // effect.  All transitions are driven by globally-reduced estimates,
@@ -199,24 +201,95 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
   res.autopilot_final_s = s_cur;
   res.autopilot_final_dd = dd_cur;
 
-  dense::Matrix basis(static_cast<index_t>(nloc), cfg.m + 1);
-  dense::Matrix rmat(cfg.m + 1, cfg.m + 1);
-  dense::Matrix lmat(cfg.m + 1, cfg.m + 1);
-  dense::Matrix hmat(cfg.m + 1, cfg.m);
-  util::aligned_vector<double> r(nloc), tmp(nloc), z(nloc);
+  // Flat storage sized for the full block width; cycles narrowed by
+  // deflation use the leading (m+1)*bw columns.
+  dense::Matrix basis(rows, (m + 1) * k);
+  dense::Matrix rmat((m + 1) * k, (m + 1) * k);
+  dense::Matrix lmat((m + 1) * k, (m + 1) * k);
+  dense::Matrix hmat((m + 1) * k, m * k);
+  dense::Matrix xact(rows, k);  // gathered active solution columns
+  dense::Matrix ract(rows, k);  // residual block; the correction's Q Y
+  dense::Matrix tmp(rows, k);
+  dense::Matrix gmat(k, k);     // residual Gram, then the seed factor
+
+  // Active (not yet accepted) columns, by original RHS index.
+  std::vector<index_t> active(static_cast<std::size_t>(k));
+  std::iota(active.begin(), active.end(), 0);
+  const auto rr_of = [&](index_t t) -> RhsResult& {
+    return res.rhs_results[static_cast<std::size_t>(
+        active[static_cast<std::size_t>(t)])];
+  };
+
+  // R = B - A X over the listed columns (gathered: deflation leaves the
+  // active ones scattered), then their Gram in ONE reduce.
+  const auto residual = [&](const std::vector<index_t>& cols) {
+    const auto bw = static_cast<index_t>(cols.size());
+    for (index_t t = 0; t < bw; ++t) {
+      const double* xc = x.col(cols[static_cast<std::size_t>(t)]);
+      std::copy(xc, xc + nloc, xact.col(t));
+    }
+    a.spmm(comm, xact.block(0, 0, rows, bw), tmp.block(0, 0, rows, bw),
+           &res.timers);
+    for (index_t t = 0; t < bw; ++t) {
+      const double* bc = b_rhs.col(cols[static_cast<std::size_t>(t)]);
+      const double* ax = tmp.col(t);
+      double* rc = ract.col(t);
+      for (std::size_t i = 0; i < nloc; ++i) rc[i] = bc[i] - ax[i];
+    }
+    ortho::residual_gram(octx, ract.block(0, 0, rows, bw),
+                         gmat.block(0, 0, bw, bw));
+  };
+  const auto residual_norm = [&](index_t t) { return std::sqrt(gmat(t, t)); };
+  std::vector<double> ref(static_cast<std::size_t>(k));
+  const auto ref_of = [&](index_t t) {
+    return ref[static_cast<std::size_t>(active[static_cast<std::size_t>(t)])];
+  };
+
+  // Freezes the accepted columns at this boundary; survivors keep their
+  // residuals and sub-Gram (no second reduce) for the next seed.
+  const auto deflate = [&](const std::vector<bool>& accepted) {
+    std::vector<index_t> keep;
+    for (index_t t = 0; t < static_cast<index_t>(active.size()); ++t) {
+      if (!accepted[static_cast<std::size_t>(t)]) {
+        keep.push_back(t);
+        continue;
+      }
+      RhsResult& rr = rr_of(t);
+      rr.converged = true;
+      rr.deflated_at_restart = res.restarts;
+    }
+    // In place: keep is ascending, so every source row/column is read
+    // before a write can reach it.
+    const auto nkeep = static_cast<index_t>(keep.size());
+    for (index_t i = 0; i < nkeep; ++i) {
+      const index_t ki = keep[static_cast<std::size_t>(i)];
+      for (index_t j = 0; j < nkeep; ++j) {
+        gmat(i, j) = gmat(ki, keep[static_cast<std::size_t>(j)]);
+      }
+      if (ki != i) std::copy(ract.col(ki), ract.col(ki) + nloc, ract.col(i));
+      active[static_cast<std::size_t>(i)] = active[static_cast<std::size_t>(ki)];
+    }
+    active.resize(keep.size());
+    res.converged = active.empty();
+  };
 
   res.timers.start("total");
-  residual(comm, a, b, x, r, tmp, &res.timers);
-  const double gamma0 = ortho::global_norm(octx, r);
-  double gamma = gamma0;
-  if (gamma0 == 0.0) res.converged = true;
-  // Convergence reference: the initial-residual norm by default (for a
-  // zero guess that IS ||b||, bit-for-bit), or the caller's fixed norm
-  // (the warm-start path — a good x0 then starts partway to the
-  // target instead of re-normalizing it).
-  const double ref = cfg.conv_reference > 0.0 ? cfg.conv_reference : gamma0;
-  if (cfg.conv_reference > 0.0 && gamma0 <= cfg.rtol * ref) {
-    res.converged = true;
+  residual(active);
+  {
+    // Convergence reference: the initial-residual norm by default (for
+    // a zero guess that IS ||b||, bit-for-bit), or the caller's fixed
+    // norm (the warm-start path — a good x0 then starts partway to the
+    // target instead of re-normalizing it).
+    std::vector<bool> accepted(static_cast<std::size_t>(k));
+    for (index_t t = 0; t < k; ++t) {
+      const auto tt = static_cast<std::size_t>(t);
+      const double gamma0 = residual_norm(t);
+      const bool fixed =
+          !cfg.conv_reference.empty() && cfg.conv_reference[tt] > 0.0;
+      ref[tt] = fixed ? cfg.conv_reference[tt] : gamma0;
+      accepted[tt] = gamma0 == 0.0 || (fixed && gamma0 <= cfg.rtol * ref[tt]);
+    }
+    deflate(accepted);
   }
 
   while (!res.converged && res.iters < cfg.max_iters &&
@@ -237,24 +310,48 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
         break;
       }
     }
-    // Seed the cycle: column 0 = r / gamma; R = L = identity seed.
-    {
-      double* q0 = basis.col(0);
-      const double inv = 1.0 / gamma;
-      for (std::size_t i = 0; i < nloc; ++i) q0[i] = r[i] * inv;
+    const auto bw = static_cast<index_t>(active.size());
+    if (manager_b != bw) {
+      manager = manager_for(bw);
+      manager_b = bw;
     }
+
+    // Seed the cycle: basis block 0 = R S0^{-1}; R = L = identity seed.
+    const dense::MatrixView basis_v = basis.block(0, 0, rows, (m + 1) * bw);
+    const dense::MatrixView s0 = gmat.block(0, 0, bw, bw);
+    ortho::seed_block(octx, ract.block(0, 0, rows, bw), s0,
+                      basis_v.columns(0, bw));
     rmat.set_zero();
     lmat.set_zero();
-    rmat(0, 0) = 1.0;
-    manager->reset();
-    dense::HessenbergLeastSquares ls(cfg.m, gamma);
+    for (index_t t = 0; t < bw; ++t) rmat(t, t) = 1.0;
+    const dense::MatrixView rv = rmat.block(0, 0, (m + 1) * bw, (m + 1) * bw);
+    const dense::MatrixView lv = lmat.block(0, 0, (m + 1) * bw, (m + 1) * bw);
+    const dense::MatrixView hv = hmat.block(0, 0, (m + 1) * bw, m * bw);
+    manager->reset_cycle(bw);
+    dense::BlockHessenbergLeastSquares ls(m * bw, bw, s0);
 
-    index_t assembled = 0;  // Hessenberg columns appended so far
-    index_t generated = 1;  // basis columns stage-1-processed so far
-    bool inner_converged = false;
+    index_t assembled = 0;   // flat Hessenberg columns appended so far
+    index_t generated = bw;  // flat basis columns stage-1-processed so far
     bool have_next = false;  // speculative next-panel columns in place
+    const auto append_new_columns = [&](index_t nfinal) {
+      if (nfinal - bw <= assembled) return false;
+      res.timers.start("ortho/small");
+      assemble_hessenberg(rv, lv, kbasis, s_cur, assembled, nfinal - bw, hv,
+                          bw);
+      for (index_t c = assembled; c < nfinal - bw; ++c) {
+        ls.append_column(std::span<const double>(
+            hv.col(c), static_cast<std::size_t>(c + bw + 1)));
+      }
+      res.timers.stop("ortho/small");
+      assembled = nfinal - bw;
+      return true;
+    };
+    const auto estimate_accepts = [&](index_t t) {
+      return ls.residual_norm(t) <= cfg.rtol * ref_of(t);
+    };
 
-    const index_t npanel = cfg.m / s_cur;
+    const index_t npanel = m / s_cur;
+    const index_t sw = s_cur * bw;  // flat panel width
     double cycle_kappa = 0.0;
     bool cycle_breakdown = false;
     // Basis-level conditioning estimate for the cycle: sqrt of the
@@ -269,7 +366,7 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     };
     try {
       for (index_t p = 0; p < npanel; ++p) {
-        const index_t start = p * s_cur;
+        const index_t start = p * sw;  // flat index of the MPK input block
         if (have_next) {
           // The lookahead already generated this panel's columns inside
           // the previous panel's reduce window (and recorded the raw MPK
@@ -277,29 +374,33 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
           res.lookahead_hits += 1;
           have_next = false;
         } else {
-          manager->note_mpk_start(octx, lmat.view(), start);
-          matrix_powers(comm, op, kbasis, basis.view(), start + 1, s_cur,
-                        &res.timers);
+          for (index_t t = 0; t < bw; ++t) {
+            manager->note_mpk_start(octx, lv, start + t);
+          }
+          matrix_powers(comm, op, kbasis, basis_v, p * s_cur + 1, s_cur,
+                        &res.timers, bw);
         }
 
         index_t nfinal;
-        if (manager->add_panel_begin(octx, basis.view(), start + 1, s_cur,
+        if (manager->add_panel_begin(octx, basis_v, start + bw, sw,
                                      cfg.pipeline_depth > 0)) {
-          // Pipelined lookahead: with the stage-1 fused Gram reduce in
-          // flight, generate the NEXT panel's matrix-powers columns from
-          // this panel's raw (not yet transformed) last column.  The
-          // schedule is the same at every pipeline_depth — the option
-          // selects only whether the window earns overlap credit — so
-          // the solution is bitwise independent of it.
-          const index_t next = start + s_cur;
+          // Pipelined lookahead (width-1 cycles only — the manager
+          // declines the split for wider seeds): with the stage-1 fused
+          // Gram reduce in flight, generate the NEXT panel's
+          // matrix-powers columns from this panel's raw (not yet
+          // transformed) last column.  The schedule is the same at every
+          // pipeline_depth — the option selects only whether the window
+          // earns overlap credit — so the solution is bitwise
+          // independent of it.
+          const index_t next = start + sw;
           if (p + 1 < npanel) {
             manager->note_mpk_start_raw(octx, next);
-            matrix_powers(comm, op, kbasis, basis.view(), next + 1, s_cur,
-                          &res.timers);
+            matrix_powers(comm, op, kbasis, basis_v, (p + 1) * s_cur + 1,
+                          s_cur, &res.timers, bw);
             have_next = true;
           }
-          nfinal = manager->add_panel_finish(octx, basis.view(), start + 1,
-                                             s_cur, rmat.view(), lmat.view());
+          nfinal = manager->add_panel_finish(octx, basis_v, start + bw, sw,
+                                             rv, lv);
           if (have_next) {
             // Deferred normalization: rescale the speculative panel by
             // the manager's power-of-two scale now that the stage-1
@@ -313,36 +414,25 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
               res.lookahead_misses += 1;
               have_next = false;
             } else if (alpha != 1.0) {
-              for (index_t c = next + 1; c <= next + s_cur; ++c) {
-                double* col = basis.col(c);
+              for (index_t c = next + bw; c < next + bw + sw; ++c) {
+                double* col = basis_v.col(c);
                 for (std::size_t i = 0; i < nloc; ++i) col[i] *= alpha;
               }
             }
           }
         } else {
-          nfinal = manager->add_panel(octx, basis.view(), start + 1, s_cur,
-                                      rmat.view(), lmat.view());
+          nfinal = manager->add_panel(octx, basis_v, start + bw, sw, rv, lv);
         }
         // Count the panel only once its orthogonalization held: a
         // thrown CholeskyBreakdown rolls the cycle back to the last
         // accepted column, excluding the broken panel's columns.
-        generated = start + 1 + s_cur;
+        generated = start + bw + sw;
         poll_monitor();
 
-        if (nfinal - 1 > assembled) {
-          res.timers.start("ortho/small");
-          assemble_hessenberg(rmat.view(), lmat.view(), kbasis, s_cur,
-                              assembled, nfinal - 1, hmat.view());
-          for (index_t k = assembled; k < nfinal - 1; ++k) {
-            ls.append_column(std::span<const double>(
-                hmat.col(k), static_cast<std::size_t>(k) + 2));
-          }
-          res.timers.stop("ortho/small");
-          assembled = nfinal - 1;
-          if (ls.residual_norm() <= cfg.rtol * ref) {
-            inner_converged = true;
-            break;
-          }
+        if (append_new_columns(nfinal)) {
+          bool all = true;
+          for (index_t t = 0; t < bw && all; ++t) all = estimate_accepts(t);
+          if (all) break;
         }
       }
     } catch (const ortho::CholeskyBreakdown&) {
@@ -368,8 +458,7 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     index_t nfinal = generated;
     if (!cycle_breakdown) {
       try {
-        nfinal = manager->finalize(octx, basis.view(), generated, rmat.view(),
-                                   lmat.view());
+        nfinal = manager->finalize(octx, basis_v, generated, rv, lv);
       } catch (const ortho::CholeskyBreakdown&) {
         if (!ap) throw;
         cycle_breakdown = true;
@@ -380,40 +469,48 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
       // can still finalize, and let the normal correction + restart
       // continue from the last accepted column.
       res.rebase_recoveries += 1;
-      nfinal = manager->rebase_after_breakdown(octx, basis.view(), generated,
-                                               rmat.view(), lmat.view());
+      nfinal = manager->rebase_after_breakdown(octx, basis_v, generated, rv,
+                                               lv);
     }
     poll_monitor();
-    if (nfinal - 1 > assembled) {
-      res.timers.start("ortho/small");
-      assemble_hessenberg(rmat.view(), lmat.view(), kbasis, s_cur, assembled,
-                          nfinal - 1, hmat.view());
-      for (index_t k = assembled; k < nfinal - 1; ++k) {
-        ls.append_column(std::span<const double>(
-            hmat.col(k), static_cast<std::size_t>(k) + 2));
-      }
-      res.timers.stop("ortho/small");
-      assembled = nfinal - 1;
-      if (ls.residual_norm() <= cfg.rtol * ref) inner_converged = true;
-    }
+    append_new_columns(nfinal);
 
-    // Correction: x += M^{-1} (Q_{1:assembled} y).
-    const index_t used = ls.cols();
-    if (used > 0) {
-      const std::vector<double> y = ls.solve_y();
+    // Correction: X_active += M^{-1} (Q_{1:assembled} Y).  The residual
+    // block is dead after the seed, so ract holds Q Y.
+    if (ls.cols() > 0) {
+      const dense::MatrixView z = ract.block(0, 0, rows, bw);
       res.timers.start("ortho/small");
-      dense::gemv(1.0, basis.view().columns(0, used), y, 0.0, z);
+      ls.combine(basis_v, z);
       res.timers.stop("ortho/small");
-      op.apply_minv(z, tmp, &res.timers);
-      dense::axpy(1.0, tmp, x);
+      op.apply_minv_multi(z, tmp.block(0, 0, rows, bw), &res.timers);
+      for (index_t t = 0; t < bw; ++t) {
+        dense::axpy(1.0, std::span<const double>(tmp.col(t), nloc),
+                    std::span<double>(x.col(active[static_cast<std::size_t>(t)]),
+                                      nloc));
+      }
     }
     res.iters += assembled;
     res.restarts += 1;
-    res.relres = ref > 0.0 ? ls.residual_norm() / ref : 0.0;
 
-    residual(comm, a, b, x, r, tmp, &res.timers);
-    gamma = ortho::global_norm(octx, r);
-    if (inner_converged || gamma <= cfg.rtol * ref) res.converged = true;
+    // Restart boundary: explicit residuals, then the acceptance rule —
+    // a column is done when its least-squares estimate or its explicit
+    // residual is <= rtol * ref.
+    std::vector<bool> accepted(static_cast<std::size_t>(bw));
+    residual(active);
+    double explicit_relres = 0.0;
+    for (index_t t = 0; t < bw; ++t) {
+      RhsResult& rr = rr_of(t);
+      const double rcol = ref_of(t);
+      rr.iters += assembled / bw;
+      rr.relres = rcol > 0.0 ? ls.residual_norm(t) / rcol : 0.0;
+      const double gamma = residual_norm(t);
+      const double rel = rcol > 0.0 ? gamma / rcol : 0.0;
+      res.relres = t == 0 ? rr.relres : std::max(res.relres, rr.relres);
+      explicit_relres = t == 0 ? rel : std::max(explicit_relres, rel);
+      accepted[static_cast<std::size_t>(t)] =
+          estimate_accepts(t) || gamma <= cfg.rtol * rcol;
+    }
+    deflate(accepted);
 
     // Conditioning monitor summary (maintained even with the autopilot
     // off — free observability from the Cholesky diagonals).
@@ -479,15 +576,24 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     }
     if (cfg.on_restart) {
       cfg.on_restart(ProgressEvent{res.iters, res.restarts, res.relres,
-                                   ref > 0.0 ? gamma / ref : 0.0,
-                                   res.converged, &res.timers});
+                                   explicit_relres, res.converged,
+                                   &res.timers});
     }
   }
 
+  // Exit: explicit residuals of EVERY column, frozen ones included.
   res.timers.stop("total");
-  residual(comm, a, b, x, r, tmp, &res.timers);
-  const double final_norm = ortho::global_norm(octx, r);
-  res.true_relres = ref > 0.0 ? final_norm / ref : 0.0;
+  std::vector<index_t> all(static_cast<std::size_t>(k));
+  std::iota(all.begin(), all.end(), 0);
+  residual(all);
+  for (index_t t = 0; t < k; ++t) {
+    RhsResult& rr = res.rhs_results[static_cast<std::size_t>(t)];
+    const double rcol = ref[static_cast<std::size_t>(t)];
+    rr.true_relres = rcol > 0.0 ? residual_norm(t) / rcol : 0.0;
+    res.true_relres =
+        t == 0 ? rr.true_relres : std::max(res.true_relres, rr.true_relres);
+    res.relres = t == 0 ? rr.relres : std::max(res.relres, rr.relres);
+  }
   res.comm_stats = par::subtract(comm.stats(), comm_before);
   res.cholesky_breakdowns = octx.cholesky_breakdowns;
   res.shift_retries = octx.shift_retries;

@@ -1,9 +1,11 @@
 #pragma once
 // s-step (communication-avoiding) GMRES — paper Fig. 1 — with pluggable
-// block orthogonalization (paper Sections IV-V).
+// block orthogonalization (paper Sections IV-V), for one right-hand
+// side or a block of b of them (batched multi-RHS, block Hessenberg
+// recurrences after phist's bgmres.m).  One engine serves every width.
 //
-// Per outer block: the matrix-powers kernel generates s new basis
-// vectors (standard MPK: s sequential preconditioned SpMVs), then the
+// Per outer panel: the matrix-powers kernel generates s new basis
+// blocks (standard MPK: s sequential preconditioned SpMVs), then the
 // configured BlockOrthoManager orthogonalizes them.  The Hessenberg
 // matrix is assembled from the accumulated R/L coefficient matrices
 // (H L = R-shifted; see hessenberg.hpp) for every column the manager
@@ -11,22 +13,53 @@
 // every s steps for the one-stage schemes, every bs steps for the
 // two-stage scheme — reproducing the paper's iteration-count rounding
 // (Table III: 60251 / 60255 / 60300).
+//
+// Block width b: the basis interleaves the b RHS streams — flat column
+// c = j*b + t carries RHS t's contribution to block step j — so each
+// panel is s*b flat columns wide.  The ortho machinery, the fused Gram
+// reduces and the stage-2 flush run unchanged on the wider panels, and
+// the synchronization count per outer iteration does not depend on b.
+// Every operator application feeds all b columns through ONE fused
+// preconditioner sweep and ONE halo exchange (DistCsr::spmm).
+//
+// The width-1 kernels are chosen by the layers below, keyed on the
+// width they observe: DistCsr::spmm and PrecOperator::apply_block /
+// apply_minv_multi run the single-vector spmv / apply at one column;
+// dense::BlockHessenbergLeastSquares runs Givens at b = 1 and
+// Householder-on-H above; ortho::residual_gram / seed_block take the
+// sumsq + all-reduce norm and the r / gamma seed at one column (no Gram
+// Cholesky).  So a width-1 solve is the classic single-RHS s-step
+// GMRES, bit for bit.
+//
+// Per-column acceptance: at every restart boundary column t is
+// accepted when its least-squares estimate or its explicit residual
+// is <= rtol * ref_t; accepted columns deflate — their solution column
+// freezes and the next cycle restarts with a narrower block — so one
+// hard RHS cannot keep converged ones iterating.  For b > 1 the
+// pipelined lookahead and the stability autopilot are rejected by
+// validation (they are width-1 features); solutions are bitwise
+// reproducible across thread counts and stable across rank counts.
 
 #include "krylov/gmres.hpp"
 #include "krylov/matrix_powers.hpp"
 #include "krylov/solver.hpp"
 #include "ortho/manager.hpp"
 
-#include <span>
+#include <vector>
 
 namespace tsbo::krylov {
+
+struct SStepGmresConfig;
+
+/// Builds a config's block-orthogonalization manager (one per scheme).
+using ManagerFactory = std::function<std::unique_ptr<ortho::BlockOrthoManager>(
+    const SStepGmresConfig&)>;
 
 struct SStepGmresConfig {
   index_t m = 60;  ///< restart length; must be a multiple of s
   index_t s = 5;   ///< step size (paper's conservative default)
   index_t bs = 60; ///< two-stage second step size (s <= bs <= m, s | bs)
 
-  OrthoScheme scheme = OrthoScheme::kTwoStage;
   BasisKind basis = BasisKind::kMonomial;
   /// Spectral interval for Newton/Chebyshev bases (ignored for
   /// monomial).
@@ -34,17 +67,21 @@ struct SStepGmresConfig {
   double lambda_max = 0.0;
 
   double rtol = 1e-6;
-  /// Convergence reference norm; 0 = relative to ||b - A x0|| (the
-  /// classic criterion), > 0 = relative to this fixed norm (see
-  /// GmresConfig::conv_reference — the warm-start path).
-  double conv_reference = 0.0;
+  /// Per-column convergence reference norms.  Empty = each column
+  /// relative to its own ||b_t - A x0_t|| (the classic criterion);
+  /// otherwise one norm per right-hand side, each > 0 fixing that
+  /// column's reference (see GmresConfig::conv_reference — the
+  /// warm-start path) and 0 keeping the classic one.
+  std::vector<double> conv_reference;
   long max_iters = 1000000;
   int max_restarts = 1000000;
   ortho::BreakdownPolicy policy = ortho::BreakdownPolicy::kShift;
   bool mixed_precision_gram = false;  ///< double-double Gram extension
 
-  /// Pipelined-runtime lookahead depth.  Whenever the manager supports
-  /// split add_panel (two-stage, plain-double Gram), the solver runs
+  /// Pipelined-runtime lookahead depth (single right-hand side only;
+  /// > 0 with b > 1 is rejected).  Whenever the manager supports split
+  /// add_panel (two-stage, plain-double Gram, width-1 cycle), the
+  /// solver runs
   /// the lookahead schedule: the stage-1 Gram reduce is issued
   /// split-phase and the NEXT panel's matrix-powers columns are
   /// generated from the current panel's raw last column before the
@@ -56,7 +93,8 @@ struct SStepGmresConfig {
   /// solutions are bitwise independent of this option.
   int pipeline_depth = 0;
 
-  /// Stability autopilot (docs/algorithms.md "Stability autopilot").
+  /// Stability autopilot (docs/algorithms.md "Stability autopilot";
+  /// single right-hand side only — enabling it with b > 1 is rejected).
   /// When enabled, the solver polls the ortho layer's per-panel Gram
   /// conditioning monitor (OrthoContext::take_gram_kappa_peak; sqrt of
   /// the Gram estimate lower-bounds the basis kappa the paper's
@@ -100,22 +138,30 @@ struct SStepGmresConfig {
   /// result carries cancelled / deadline_expired and the best iterate.
   const par::CancelToken* cancel = nullptr;
 
-  /// When set, make_manager() calls this instead of switching on
-  /// `scheme` — the extension point the api ortho registry uses, so new
-  /// block-orthogonalization schemes plug in without growing the enum.
-  std::function<std::unique_ptr<ortho::BlockOrthoManager>(
-      const SStepGmresConfig&)>
-      manager_factory;
+  /// Builds the block-orthogonalization manager — the one scheme
+  /// dispatch path (the api ortho registry installs one per scheme).
+  /// Receives the config with m/s/bs counted in flat columns (scaled by
+  /// the block width).  Empty = make_two_stage.
+  ManagerFactory manager_factory;
 };
 
-/// Solves A M^{-1} u = b, x += M^{-1} u from the initial guess in `x`.
-/// Collective over `comm`; b and x are rank-local row blocks.
+/// Solves A M^{-1} U = B, X += M^{-1} U for the b = B.cols right-hand
+/// sides in `b_rhs` from the initial guesses in `x` (rank-local row
+/// blocks, column-major views).  Collective over `comm`.  The result
+/// carries one RhsResult per column; its scalar fields aggregate them
+/// (converged = all columns, relres / true_relres = the worst column).
 SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
                         const precond::Preconditioner* m_prec,
-                        std::span<const double> b, std::span<double> x,
+                        dense::ConstMatrixView b_rhs, dense::MatrixView x,
                         const SStepGmresConfig& cfg);
 
-/// Builds the manager the config names (exposed for tests/benches).
+/// The paper's two-stage manager (Fig. 5) — the default factory.
+/// Requires s <= bs <= m with s | bs.
+std::unique_ptr<ortho::BlockOrthoManager> make_two_stage(
+    const SStepGmresConfig& cfg);
+
+/// Builds the manager the config's factory names (exposed for
+/// tests/benches).
 std::unique_ptr<ortho::BlockOrthoManager> make_manager(
     const SStepGmresConfig& cfg);
 

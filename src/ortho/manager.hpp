@@ -104,8 +104,9 @@ class BlockOrthoManager {
   /// like add_panel).  `overlap_credit` false opts the window out of
   /// overlap accounting (pipeline_depth = 0: same arithmetic, latency
   /// fully exposed).  A false return means this panel cannot be split
-  /// (scheme without a split path, or a double-double Gram) and the
-  /// caller must fall back to add_panel.  Default: unsupported.
+  /// (scheme without a split path, a double-double Gram, or a block
+  /// cycle seeded wider than one column) and the caller must fall back
+  /// to add_panel.  Default: unsupported.
   virtual bool add_panel_begin(OrthoContext& /*ctx*/, MatrixView /*basis*/,
                                index_t /*q0*/, index_t /*s*/,
                                bool /*overlap_credit*/) {

@@ -25,6 +25,18 @@ void time_stop(OrthoContext& ctx, const char* phase) {
   if (ctx.timers) ctx.timers->stop(phase);
 }
 
+/// Deterministic threaded local sum of squares; ranks then combine via
+/// the (deterministic) all-reduce, keeping the result replicated exactly.
+double reduced_sumsq(OrthoContext& ctx, std::span<const double> x) {
+  double s = dense::sumsq(x);
+  if (ctx.comm) {
+    time_start(ctx, "ortho/reduce");
+    s = ctx.comm->allreduce_sum_scalar(s);
+    time_stop(ctx, "ortho/reduce");
+  }
+  return s;
+}
+
 // `gram.stage1` fault seam: consulted once per fused stage-1 Gram,
 // after the local gemm and before the reduce is published (a throw
 // here leaves no pending collective of its own; siblings already in
@@ -342,15 +354,34 @@ void chol_factor_dd(OrthoContext& ctx, MatrixView g_hi, MatrixView g_lo,
 }
 
 double global_norm(OrthoContext& ctx, std::span<const double> x) {
-  // Deterministic threaded local sum; ranks then combine via the
-  // (deterministic) all-reduce, keeping the factor replicated exactly.
-  double s = dense::sumsq(x);
-  if (ctx.comm) {
-    time_start(ctx, "ortho/reduce");
-    s = ctx.comm->allreduce_sum_scalar(s);
-    time_stop(ctx, "ortho/reduce");
+  return std::sqrt(reduced_sumsq(ctx, x));
+}
+
+void residual_gram(OrthoContext& ctx, ConstMatrixView r, MatrixView g) {
+  assert(g.rows == r.cols && g.cols == r.cols);
+  if (r.cols == 1) {
+    g(0, 0) = reduced_sumsq(
+        ctx, std::span<const double>(r.col(0), static_cast<std::size_t>(r.rows)));
+    return;
   }
-  return std::sqrt(s);
+  block_dot(ctx, r, r, g);
+}
+
+void seed_block(OrthoContext& ctx, ConstMatrixView r, MatrixView g,
+                MatrixView q) {
+  assert(g.rows == r.cols && q.rows == r.rows && q.cols == r.cols);
+  if (r.cols == 1) {
+    const double gamma = std::sqrt(g(0, 0));
+    g(0, 0) = gamma;
+    const double inv = 1.0 / gamma;
+    const double* rc = r.col(0);
+    double* qc = q.col(0);
+    for (index_t i = 0; i < r.rows; ++i) qc[i] = rc[i] * inv;
+    return;
+  }
+  chol_factor(ctx, g, "block GMRES seed");
+  dense::copy(r, q);
+  block_scale(ctx, g, q);
 }
 
 }  // namespace tsbo::ortho

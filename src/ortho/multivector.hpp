@@ -258,4 +258,20 @@ void chol_factor_dd(OrthoContext& ctx, MatrixView g_hi, MatrixView g_lo,
 /// ||x||_2 across ranks (one reduce).
 double global_norm(OrthoContext& ctx, std::span<const double> x);
 
+/// Restart-boundary reduce of a residual block R (b = R.cols columns):
+/// g (b x b) receives the Gram R^T R in ONE reduce, so column t's norm
+/// is sqrt(g(t, t)) and the seed factor needs no further sync.  One
+/// column takes the vector path — the deterministic sumsq plus scalar
+/// all-reduce of global_norm, whose bits sqrt(g(0, 0)) reproduces.
+void residual_gram(OrthoContext& ctx, ConstMatrixView r, MatrixView g);
+
+/// Seeds a restart cycle from residual_gram's g: writes the orthonormal
+/// block Q0 = R S0^{-1} to q and overwrites g with S0, the right-hand
+/// side factor of the cycle's least-squares problem.  Wider blocks
+/// factor S0 = chol(G) (one Gram Cholesky); one column is q = r / gamma
+/// with S0 = gamma = ||r||, a scaling that consumes no Cholesky attempt
+/// ordinal (OrthoContext::inject_breakdown).
+void seed_block(OrthoContext& ctx, ConstMatrixView r, MatrixView g,
+                MatrixView q);
+
 }  // namespace tsbo::ortho

@@ -149,6 +149,7 @@ class TwoStageManager final : public BlockOrthoManager {
 
   void reset() override {
     big_begin_ = 1;
+    seed_width_ = 1;
     pending_ = 0;
     pending_starts_.clear();
     raw_starts_.clear();
@@ -161,6 +162,7 @@ class TwoStageManager final : public BlockOrthoManager {
     // block); the open big panel starts right after them.
     reset();
     big_begin_ = n_seed;
+    seed_width_ = n_seed;
   }
 
   void note_mpk_start(OrthoContext&, MatrixView l, index_t start) override {
@@ -214,6 +216,9 @@ class TwoStageManager final : public BlockOrthoManager {
   bool add_panel_begin(OrthoContext& ctx, MatrixView basis, index_t q0,
                        index_t s, bool overlap_credit) override {
     if (ctx.mixed_precision_gram) return false;  // dd reduce not split here
+    // The lookahead hands MPK ONE raw column (note_mpk_start_raw); a
+    // block cycle's b-wide MPK input has no split path.
+    if (seed_width_ > 1) return false;
     if (big_begin_ == 0 || q0 < big_begin_) {
       throw std::logic_error("TwoStageManager: panels must arrive in order");
     }
@@ -387,6 +392,7 @@ class TwoStageManager final : public BlockOrthoManager {
 
   index_t bs_;
   index_t big_begin_ = 1;  // first column of the open big panel
+  index_t seed_width_ = 1;  // block width of the current cycle
   index_t pending_ = 0;    // pre-processed columns awaiting stage 2
   std::vector<index_t> pending_starts_;
   std::vector<RawStart> raw_starts_;  // lookahead (raw-column) MPK starts

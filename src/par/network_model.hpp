@@ -9,7 +9,8 @@
 // an alpha-beta model assigns to it.  Shapes (who wins, crossovers vs.
 // rank count) then depend on *synchronization counts* and *message
 // sizes* exactly as on a real cluster.  Absolute times remain
-// machine-specific; see EXPERIMENTS.md.
+// machine-specific, and the busy-wait lands in wall-clock: a speedup
+// that exists only under the model is not a measurement.
 
 #include <cmath>
 #include <cstddef>
@@ -97,8 +98,8 @@ struct NetworkModel {
   /// V100s at the local orthogonalization kernels, so the
   /// latency-to-compute RATIO — which determines every shape in
   /// Tables II-IV and Figs. 10-13 — matches the paper's Summit runs.
-  /// This is the default for the reproduction benches (EXPERIMENTS.md
-  /// documents the calibration).
+  /// This is the default for the reproduction benches; the ~70x ratio
+  /// above is the whole calibration.
   static NetworkModel calibrated() {
     NetworkModel m;
     m.enabled = true;

@@ -218,6 +218,11 @@ void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
   assert(x_local.cols == y_local.cols);
   const ord k = static_cast<ord>(x_local.cols);
   assert(k >= 1);
+  if (k == 1) {
+    spmv(comm, std::span<const double>(x_local.col(0), nlocal),
+         std::span<double>(y_local.col(0), nlocal), timers);
+    return;
+  }
   xkbuf_.resize(static_cast<std::size_t>(local_.cols) *
                 static_cast<std::size_t>(k));
   // Pack the owned entries k-interleaved BEFORE opening the exchange:

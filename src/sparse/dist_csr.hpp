@@ -85,10 +85,10 @@ class DistCsr {
   /// with split-phase overlap is preserved exactly as in spmv().  The
   /// pack completes before exchange_begin publishes the buffer, so
   /// peers always read a consistent interleaved span.  Per-column
-  /// accumulation uses the plain serial row kernel (no SIMD gather) —
-  /// bits are thread- and rank-count invariant, but a k=1 spmm is NOT
-  /// bitwise-identical to spmv() on gather-vectorized wide rows; the
-  /// block solver delegates k=1 to the single-vector path instead.
+  /// accumulation uses the plain serial row kernel (no SIMD gather),
+  /// whose bits differ from spmv()'s gather-vectorized wide rows, so a
+  /// one-column product runs spmv() itself: width-1 callers get the
+  /// single-vector bits.
   void spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
             dense::MatrixView y_local, util::PhaseTimers* timers = nullptr) const;
 

@@ -267,16 +267,14 @@ TEST(Registries, MatrixFileSourceRoundTripsThroughMatrixMarket) {
 }
 
 TEST(Registries, SelfRegisteredSchemeRunsThroughManagerFactory) {
-  // A "new" scheme plugs in by name: no OrthoScheme enum growth, the
-  // entry routes through SStepGmresConfig::manager_factory.
+  // A "new" scheme plugs in by name: the entry routes through
+  // SStepGmresConfig::manager_factory, the one scheme-dispatch path.
   api::OrthoEntry entry;
   entry.description = "test-only alias of the two-stage manager";
   entry.sstep = true;
   entry.configure_sstep = [](const api::SolverOptions&,
                              krylov::SStepGmresConfig& cfg) {
-    cfg.manager_factory = [](const krylov::SStepGmresConfig& c) {
-      return ortho::make_two_stage_manager(c.bs);
-    };
+    cfg.manager_factory = krylov::make_two_stage;
   };
   api::ortho_registry().add("two_stage_alias", entry);
 
@@ -287,6 +285,12 @@ TEST(Registries, SelfRegisteredSchemeRunsThroughManagerFactory) {
   const api::SolveReport rep = solver.solve();
   EXPECT_TRUE(rep.result.converged);
   EXPECT_EQ(rep.result.iters % 60, 0);  // two-stage granularity
+
+  // The alias carries the two-stage factory's s <= bs <= m, s | bs check.
+  api::Solver bad(api::SolverOptions::parse(
+      "solver=sstep ortho=two_stage_alias ranks=1 bs=7"));
+  bad.set_matrix_ref(a, "laplace");
+  EXPECT_THROW(bad.solve(), std::invalid_argument);
 }
 
 // ---- SolveReport JSON ------------------------------------------------
@@ -391,11 +395,15 @@ TEST(Facade, MatchesDirectKrylovRun) {
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> x(nloc, 0.0);
     krylov::SStepGmresConfig cfg;
-    cfg.scheme = krylov::OrthoScheme::kBcgsPip2;
+    cfg.manager_factory = [](const krylov::SStepGmresConfig&) {
+      return ortho::make_bcgs_pip2_manager();
+    };
     cfg.rtol = 1e-7;
+    const auto rows = static_cast<dense::index_t>(nloc);
     const auto res = krylov::sstep_gmres(
         comm, dist, nullptr,
-        std::span<const double>(b.data() + begin, nloc), x, cfg);
+        dense::ConstMatrixView{b.data() + begin, rows, 1, rows},
+        dense::MatrixView{x.data(), rows, 1, rows}, cfg);
     std::copy(x.begin(), x.end(),
               x_direct.begin() + static_cast<std::ptrdiff_t>(begin));
     if (comm.rank() == 0) direct = res;

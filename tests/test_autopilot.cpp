@@ -68,12 +68,12 @@ DirectRun run_direct(
     const auto begin = static_cast<std::size_t>(part.begin(comm.rank()));
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> x(nloc, 0.0);
-    krylov::SStepGmresConfig cfg;
-    cfg.scheme = krylov::OrthoScheme::kTwoStage;
+    krylov::SStepGmresConfig cfg;  // default factory: two-stage
     tweak(cfg);
+    const auto rows = static_cast<dense::index_t>(nloc);
     const auto res = krylov::sstep_gmres(
-        comm, dist, nullptr, std::span<const double>(b.data() + begin, nloc),
-        x, cfg);
+        comm, dist, nullptr, dense::ConstMatrixView{b.data() + begin, rows, 1, rows},
+        dense::MatrixView{x.data(), rows, 1, rows}, cfg);
     std::copy(x.begin(), x.end(),
               out.x.begin() + static_cast<std::ptrdiff_t>(begin));
     if (comm.rank() == 0) out.res = res;

@@ -192,12 +192,13 @@ TEST(MatrixPowers, SolverUnaffectedByInjectedLatency) {
       const auto begin = static_cast<std::size_t>(part.begin(comm.rank()));
       const auto nloc = static_cast<std::size_t>(dist.n_local());
       std::vector<double> x(nloc, 0.0);
-      krylov::SStepGmresConfig cfg;
-      cfg.scheme = krylov::OrthoScheme::kTwoStage;
+      krylov::SStepGmresConfig cfg;  // default factory: two-stage
       cfg.rtol = 1e-7;
+      const auto rows = static_cast<dense::index_t>(nloc);
       const auto r = krylov::sstep_gmres(
           comm, dist, nullptr,
-          std::span<const double>(b.data() + begin, nloc), x, cfg);
+          dense::ConstMatrixView{b.data() + begin, rows, 1, rows},
+          dense::MatrixView{x.data(), rows, 1, rows}, cfg);
       if (comm.rank() == 0) {
         iters = r.iters;
         relres = r.true_relres;
