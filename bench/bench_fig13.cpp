@@ -8,10 +8,7 @@
 // total speedups shrink slightly since ortho is a smaller share.
 //
 //   bench_fig13 [--nx=512] [--ranks=8] [--restarts=2] [--net=cluster]
-//               [--pipeline_depth=1] [--json=fig13.json]
-//
-// --pipeline_depth=1 enables overlap credit for the pipelined s-step
-// runtime (bitwise-identical solutions; see bench_fig10.cpp).
+//               [--json=fig13.json]
 
 #include "bench_common.hpp"
 
@@ -30,12 +27,11 @@ int main(int argc, char** argv) {
   const std::string json_path = cli.get("json", "");
 
   api::SolverOptions base =
-      api::SolverOptions::parse("matrix=laplace2d_5pt precond=mc-gs rtol=0");
+      api::SolverOptions::parse("matrix=laplace2d_5pt precond=mc-gs rtol=1e-30");
   base.nx = nx;
   base.ranks = ranks;
   base.net = cli.get("net", "calibrated");
   base.max_restarts = restarts;
-  base.pipeline_depth = cli.get_int("pipeline_depth", 0);
   cli.reject_unknown();
 
   const sparse::CsrMatrix a = api::make_matrix(base);
@@ -50,7 +46,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"solver", "SpMV ms/it", "Precond ms/it", "Ortho ms/it",
                      "Total ms/it", "ortho speedup", "total speedup",
-                     "comm exp s", "comm ovl s", "lkh hit", "lkh miss"});
+                     "comm exp s", "comm ovl s"});
   api::ReportLog log("fig13");
 
   double base_ortho = 0.0, base_total = 0.0;
@@ -74,9 +70,7 @@ int main(int argc, char** argv) {
         .add(util::speedup_str(base_ortho, r.time_ortho()))
         .add(util::speedup_str(base_total, r.time_total()))
         .add(r.comm_stats.injected_seconds, 3)
-        .add(r.comm_stats.overlapped_seconds, 3)
-        .add(r.lookahead_hits)
-        .add(r.lookahead_misses);
+        .add(r.comm_stats.overlapped_seconds, 3);
     log.add(rep);
   }
   table.print();

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const std::string json_path = cli.get("json", "");
 
   api::SolverOptions base =
-      api::SolverOptions::parse("matrix=laplace2d_5pt rtol=0");
+      api::SolverOptions::parse("matrix=laplace2d_5pt rtol=1e-30");
   base.nx = nx;
   base.ranks = ranks;
   base.net = cli.get("net", "calibrated");

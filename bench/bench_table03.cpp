@@ -11,11 +11,7 @@
 // *growing* with the rank count (communication-bound regime).
 //
 //   bench_table03 [--nx=512] [--ranks=1,2,4,8,16] [--restarts=2]
-//                 [--net=cluster] [--pipeline_depth=1]
-//                 [--json=table03.json]
-//
-// --pipeline_depth=1 enables overlap credit for the pipelined s-step
-// runtime (bitwise-identical solutions; see bench_fig10.cpp).
+//                 [--net=cluster] [--json=table03.json]
 
 #include "bench_common.hpp"
 
@@ -35,11 +31,10 @@ int main(int argc, char** argv) {
   const std::string json_path = cli.get("json", "");
 
   api::SolverOptions base =
-      api::SolverOptions::parse("matrix=laplace2d_9pt rtol=0");
+      api::SolverOptions::parse("matrix=laplace2d_9pt rtol=1e-30");
   base.nx = nx;
   base.net = cli.get("net", "calibrated");
   base.max_restarts = restarts;
-  base.pipeline_depth = cli.get_int("pipeline_depth", 0);
   cli.reject_unknown();
 
   const sparse::CsrMatrix a = api::make_matrix(base);
@@ -55,7 +50,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"ranks", "solver", "SpMV", "Ortho", "Total",
                      "ortho speedup", "total speedup", "allreduces",
-                     "comm exp s", "comm ovl s", "lkh hit", "lkh miss"});
+                     "comm exp s", "comm ovl s"});
   api::ReportLog log("table03");
 
   for (const int p : rank_list) {
@@ -82,9 +77,7 @@ int main(int argc, char** argv) {
           .add(util::speedup_str(base_total, r.time_total()))
           .add(static_cast<long>(r.comm_stats.allreduces))
           .add(r.comm_stats.injected_seconds, 3)
-          .add(r.comm_stats.overlapped_seconds, 3)
-          .add(r.lookahead_hits)
-          .add(r.lookahead_misses);
+          .add(r.comm_stats.overlapped_seconds, 3);
       log.add(rep);
     }
     table.separator();

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const long iters = 60L * restarts;
   const std::string json_path = cli.get("json", "");
 
-  api::SolverOptions base = api::SolverOptions::parse("rtol=0");
+  api::SolverOptions base = api::SolverOptions::parse("rtol=1e-30");
   base.ranks = ranks;
   base.n = n;
   base.net = cli.get("net", "calibrated");

@@ -135,7 +135,6 @@ const std::vector<FieldDef>& fields() {
       double_field("lambda_max", &SolverOptions::lambda_max),
       bool_field("mixed_precision_gram", &SolverOptions::mixed_precision_gram),
       str_field("breakdown", &SolverOptions::breakdown),
-      int_field("pipeline_depth", &SolverOptions::pipeline_depth),
       bool_field("autopilot", &SolverOptions::autopilot),
       double_field("ap_kappa_high", &SolverOptions::ap_kappa_high),
       double_field("ap_kappa_low", &SolverOptions::ap_kappa_low),
@@ -330,7 +329,7 @@ void SolverOptions::validate() const {
   // Numeric range validation: every violation names the key, echoes
   // the offending value, and states the accepted range — the same
   // spirit as the unknown-key did-you-mean hint, so a typo'd
-  // "--pipeline_depth=-1" fails loudly instead of corrupting the run.
+  // "--max_restarts=0" fails loudly instead of corrupting the run.
   const auto out_of_range = [](const char* key, const std::string& value,
                                const char* wanted) {
     throw std::invalid_argument(std::string("SolverOptions: ") + key + "=" +
@@ -346,7 +345,6 @@ void SolverOptions::validate() const {
   require_int("bs", bs, 1, ">= 1");
   require_int("max_iters", max_iters, 1, ">= 1");
   require_int("max_restarts", max_restarts, 1, ">= 1");
-  require_int("pipeline_depth", pipeline_depth, 0, ">= 0");
   require_int("precond_sweeps", precond_sweeps, 1, ">= 1");
   require_int("precond_degree", precond_degree, 1, ">= 1");
   require_int("ranks", ranks, 1, ">= 1");
@@ -357,16 +355,11 @@ void SolverOptions::validate() const {
         " requires solver=sstep (batched multi-RHS solves run through "
         "block s-step GMRES)");
   }
-  // The lookahead and the stability autopilot are single-RHS features
-  // of the s-step engine: reject them rather than ignore them.
+  // The stability autopilot is a single-RHS feature of the s-step
+  // engine: reject it rather than ignore it.
   if (rhs > 1 && autopilot) {
     throw std::invalid_argument("SolverOptions: autopilot=1 requires rhs=1, "
                                 "got rhs=" + std::to_string(rhs));
-  }
-  if (rhs > 1 && pipeline_depth > 0) {
-    throw std::invalid_argument(
-        "SolverOptions: pipeline_depth=" + std::to_string(pipeline_depth) +
-        " requires rhs=1, got rhs=" + std::to_string(rhs));
   }
   require_int("nx", nx, 1, ">= 1");
   require_int("ny", ny, 0, ">= 0 (0 inherits nx)");
@@ -466,7 +459,6 @@ krylov::SStepGmresConfig SolverOptions::sstep_config() const {
   cfg.lambda_min = lambda_min;
   cfg.lambda_max = lambda_max;
   cfg.mixed_precision_gram = mixed_precision_gram;
-  cfg.pipeline_depth = pipeline_depth;
   cfg.autopilot.enabled = autopilot;
   cfg.autopilot.kappa_high = ap_kappa_high;
   cfg.autopilot.kappa_low = ap_kappa_low;

@@ -59,11 +59,6 @@ struct SolverOptions {
   double lambda_max = 0.0;
   bool mixed_precision_gram = false;  ///< double-double Gram extension
   std::string breakdown = "shift";    ///< "shift" | "throw"
-  /// Pipelined s-step runtime lookahead depth: 0 = reduce latency fully
-  /// exposed, >= 1 = next-panel MPK compute credited against the
-  /// stage-1 reduce window.  Bitwise-identical solutions at every
-  /// depth; see krylov::SStepGmresConfig::pipeline_depth.
-  int pipeline_depth = 0;
   /// Stability autopilot (sstep only; see
   /// krylov::SStepGmresConfig::Autopilot and docs/algorithms.md):
   /// monitor the per-panel Gram conditioning estimate, shrink/grow s
@@ -88,11 +83,10 @@ struct SolverOptions {
   /// Number of right-hand sides solved as one batch (the s-step
   /// engine's block width, krylov/sstep_gmres.hpp).  rhs=1 is the
   /// classic single-RHS path.  rhs=k > 1 requires solver=sstep and
-  /// rejects autopilot=1 and pipeline_depth > 0: the facade expects a
-  /// length n*k RHS (column t at offset t*n), runs all k columns
-  /// through shared panels — one halo exchange per operator
-  /// application, one Gram reduce per stage regardless of k — and
-  /// reports per-RHS results[] in the /7 schema.
+  /// rejects autopilot=1: the facade expects a length n*k RHS (column t
+  /// at offset t*n), runs all k columns through shared panels — one
+  /// halo exchange per operator application, one Gram reduce per stage
+  /// regardless of k — and reports per-RHS results[].
   int rhs = 1;
   /// Warm-start request (0 or 1; interpreted by the solver service,
   /// src/service/): 1 seeds x0 from the cached operator's previous

@@ -40,8 +40,6 @@ void SolveReport::write_json(util::JsonWriter& w) const {
       .kv("true_relres", result.true_relres)
       .kv("cholesky_breakdowns", result.cholesky_breakdowns)
       .kv("shift_retries", result.shift_retries)
-      .kv("lookahead_hits", result.lookahead_hits)
-      .kv("lookahead_misses", result.lookahead_misses)
       .kv("cancelled", result.cancelled)
       .kv("deadline_expired", result.deadline_expired);
 
@@ -110,7 +108,6 @@ void SolveReport::write_json(util::JsonWriter& w) const {
       .kv("barriers", result.comm_stats.barriers)
       .kv("bytes_allreduced", result.comm_stats.bytes_allreduced)
       .kv("bytes_exchanged", result.comm_stats.bytes_exchanged)
-      .kv("injected_seconds", result.comm_stats.injected_seconds)
       .kv("exposed_seconds", result.comm_stats.injected_seconds)
       .kv("overlapped_seconds", result.comm_stats.overlapped_seconds);
   w.end_object();

@@ -5,7 +5,7 @@
 // provenance — the options echo, matrix statistics, rank/thread counts,
 // per-phase timers, communication counters, and the per-restart
 // residual history captured by the facade's observer — and serializes
-// to JSON (schema "tsbo.solve_report/7", golden-checked by
+// to JSON (schema "tsbo.solve_report/8", golden-checked by
 // tests/test_api.cpp).  ReportLog accumulates reports so every bench
 // binary can emit a uniform --json=<path> artifact.
 
@@ -25,11 +25,10 @@ namespace tsbo::api {
 /// split-phase overlap accounting (exposed_seconds == the modeled
 /// fabric time actually spun, overlapped_seconds == the share hidden
 /// behind compute between a begin and its wait; their sum is the total
-/// modeled cost).  injected_seconds is kept as an alias of
-/// exposed_seconds for older tooling.  /3: the result section grew the
-/// pipelined-runtime lookahead counters (lookahead_hits /
-/// lookahead_misses — speculative next-panel MPK sweeps consumed vs
-/// discarded; zero for schemes without a split stage-1 path).  /4: the
+/// modeled cost).  injected_seconds was kept as an alias of
+/// exposed_seconds for older tooling until /8.  /3: the result section
+/// grew the pipelined-runtime lookahead counters (lookahead_hits /
+/// lookahead_misses; removed in /8).  /4: the
 /// result section grew the stability-autopilot object (enabled,
 /// max_kappa_estimate — the conditioning monitor's peak basis-kappa,
 /// maintained even with the autopilot off — rebase_recoveries, final_s,
@@ -57,8 +56,11 @@ namespace tsbo::api {
 /// the scalar result fields then aggregate: converged = all columns,
 /// relres/true_relres = worst column), and the resilience guard grew a
 /// matching per-column columns[] array (verdict + true_relres per RHS)
-/// so one corrupted column is attributable.
-inline constexpr const char* kSolveReportSchema = "tsbo.solve_report/7";
+/// so one corrupted column is attributable.  /8: the result section
+/// dropped the always-zero lookahead_hits / lookahead_misses (the
+/// speculative next-panel MPK is gone), and the comm section dropped
+/// injected_seconds, the alias of exposed_seconds.
+inline constexpr const char* kSolveReportSchema = "tsbo.solve_report/8";
 inline constexpr const char* kReportLogSchema = "tsbo.report_log/1";
 
 struct MatrixStats {

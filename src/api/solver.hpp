@@ -3,9 +3,7 @@
 // for the end-to-end experiment flow the paper runs — pick a matrix,
 // a preconditioner, an ortho scheme and (m, s, bs); run under the SPMD
 // runtime; get back a SolveReport with phase timers, sync counts, and
-// residual history.  ("Pipeline" here would collide with the pipelined
-// s-step runtime — that lives in krylov/sstep_gmres.hpp under
-// pipeline_depth.)
+// residual history.
 //
 //   auto opts = api::SolverOptions::parse(
 //       "solver=sstep ortho=two_stage matrix=laplace2d_9pt nx=256 ranks=4");

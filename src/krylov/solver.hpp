@@ -103,11 +103,9 @@ struct SolveResult {
   bool cancelled = false;
   bool deadline_expired = false;
 
-  /// Pipelined s-step runtime counters: speculative next-panel MPK
-  /// sweeps generated inside a stage-1 reduce window that were consumed
-  /// by the following panel (hits) vs discarded because the cycle
-  /// converged or ended first (misses).  Zero for schemes without a
-  /// split stage-1 path.
+  /// Always 0: the solver no longer speculates next-panel MPK sweeps.
+  /// Kept only because perfbench/perfbench.cpp still reads them; drop
+  /// both with its next revision.
   long lookahead_hits = 0;
   long lookahead_misses = 0;
 

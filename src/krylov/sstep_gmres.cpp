@@ -61,11 +61,6 @@ void validate(const SStepGmresConfig& cfg, dense::ConstMatrixView b_rhs,
         "sstep_gmres: autopilot requires a single right-hand side (got " +
         std::to_string(nrhs) + ")");
   }
-  if (nrhs > 1 && cfg.pipeline_depth > 0) {
-    throw std::invalid_argument(
-        "sstep_gmres: pipeline_depth > 0 requires a single right-hand side "
-        "(got " + std::to_string(nrhs) + ")");
-  }
   if (cfg.autopilot.enabled) {
     if (!(cfg.autopilot.kappa_high > cfg.autopilot.kappa_low) ||
         !(cfg.autopilot.kappa_low > 0.0)) {
@@ -332,7 +327,6 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
 
     index_t assembled = 0;   // flat Hessenberg columns appended so far
     index_t generated = bw;  // flat basis columns stage-1-processed so far
-    bool have_next = false;  // speculative next-panel columns in place
     const auto append_new_columns = [&](index_t nfinal) {
       if (nfinal - bw <= assembled) return false;
       res.timers.start("ortho/small");
@@ -367,62 +361,13 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     try {
       for (index_t p = 0; p < npanel; ++p) {
         const index_t start = p * sw;  // flat index of the MPK input block
-        if (have_next) {
-          // The lookahead already generated this panel's columns inside
-          // the previous panel's reduce window (and recorded the raw MPK
-          // start with the manager).
-          res.lookahead_hits += 1;
-          have_next = false;
-        } else {
-          for (index_t t = 0; t < bw; ++t) {
-            manager->note_mpk_start(octx, lv, start + t);
-          }
-          matrix_powers(comm, op, kbasis, basis_v, p * s_cur + 1, s_cur,
-                        &res.timers, bw);
+        for (index_t t = 0; t < bw; ++t) {
+          manager->note_mpk_start(octx, lv, start + t);
         }
-
-        index_t nfinal;
-        if (manager->add_panel_begin(octx, basis_v, start + bw, sw,
-                                     cfg.pipeline_depth > 0)) {
-          // Pipelined lookahead (width-1 cycles only — the manager
-          // declines the split for wider seeds): with the stage-1 fused
-          // Gram reduce in flight, generate the NEXT panel's
-          // matrix-powers columns from this panel's raw (not yet
-          // transformed) last column.  The schedule is the same at every
-          // pipeline_depth — the option selects only whether the window
-          // earns overlap credit — so the solution is bitwise
-          // independent of it.
-          const index_t next = start + sw;
-          if (p + 1 < npanel) {
-            manager->note_mpk_start_raw(octx, next);
-            matrix_powers(comm, op, kbasis, basis_v, (p + 1) * s_cur + 1,
-                          s_cur, &res.timers, bw);
-            have_next = true;
-          }
-          nfinal = manager->add_panel_finish(octx, basis_v, start + bw, sw,
-                                             rv, lv);
-          if (have_next) {
-            // Deferred normalization: rescale the speculative panel by
-            // the manager's power-of-two scale now that the stage-1
-            // factor is known (exact — commutes with the recurrence).
-            // Scale 0 means the manager's quality guard rejected the
-            // speculation (raw column too decayed): discard the panel
-            // and fall back to regeneration at the top of the next
-            // iteration.  The MPK compute still overlapped the reduce.
-            const double alpha = manager->lookahead_scale(next);
-            if (alpha == 0.0) {
-              res.lookahead_misses += 1;
-              have_next = false;
-            } else if (alpha != 1.0) {
-              for (index_t c = next + bw; c < next + bw + sw; ++c) {
-                double* col = basis_v.col(c);
-                for (std::size_t i = 0; i < nloc; ++i) col[i] *= alpha;
-              }
-            }
-          }
-        } else {
-          nfinal = manager->add_panel(octx, basis_v, start + bw, sw, rv, lv);
-        }
+        matrix_powers(comm, op, kbasis, basis_v, p * s_cur + 1, s_cur,
+                      &res.timers, bw);
+        const index_t nfinal =
+            manager->add_panel(octx, basis_v, start + bw, sw, rv, lv);
         // Count the panel only once its orthogonalization held: a
         // thrown CholeskyBreakdown rolls the cycle back to the last
         // accepted column, excluding the broken panel's columns.
@@ -443,14 +388,6 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
       if (!ap) throw;
       cycle_breakdown = true;
       poll_monitor();
-    }
-
-    // A speculative panel left in place by an early inner break (or a
-    // recovered breakdown) was generated but never consumed: its
-    // columns are simply abandoned.
-    if (have_next) {
-      res.lookahead_misses += 1;
-      have_next = false;
     }
 
     // Flush a partially filled big panel (bs not dividing m, an early

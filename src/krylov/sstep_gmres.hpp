@@ -36,9 +36,9 @@
 // is <= rtol * ref_t; accepted columns deflate — their solution column
 // freezes and the next cycle restarts with a narrower block — so one
 // hard RHS cannot keep converged ones iterating.  For b > 1 the
-// pipelined lookahead and the stability autopilot are rejected by
-// validation (they are width-1 features); solutions are bitwise
-// reproducible across thread counts and stable across rank counts.
+// stability autopilot is rejected by validation (it is a width-1
+// feature); solutions are bitwise reproducible across thread counts and
+// stable across rank counts.
 
 #include "krylov/gmres.hpp"
 #include "krylov/matrix_powers.hpp"
@@ -77,21 +77,6 @@ struct SStepGmresConfig {
   int max_restarts = 1000000;
   ortho::BreakdownPolicy policy = ortho::BreakdownPolicy::kShift;
   bool mixed_precision_gram = false;  ///< double-double Gram extension
-
-  /// Pipelined-runtime lookahead depth (single right-hand side only;
-  /// > 0 with b > 1 is rejected).  Whenever the manager supports split
-  /// add_panel (two-stage, plain-double Gram, width-1 cycle), the
-  /// solver runs
-  /// the lookahead schedule: the stage-1 Gram reduce is issued
-  /// split-phase and the NEXT panel's matrix-powers columns are
-  /// generated from the current panel's raw last column before the
-  /// wait, with deferred power-of-two normalization.  pipeline_depth
-  /// selects only the ACCOUNTING of that window: 0 charges the reduce
-  /// latency fully exposed, >= 1 credits the in-window MPK compute as
-  /// overlapped (depths beyond 1 behave as 1 — a single panel of
-  /// lookahead).  The arithmetic is identical at every depth, so
-  /// solutions are bitwise independent of this option.
-  int pipeline_depth = 0;
 
   /// Stability autopilot (docs/algorithms.md "Stability autopilot";
   /// single right-hand side only — enabling it with b > 1 is rejected).

@@ -136,62 +136,29 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
     chol_factor_dd(ctx, s_hi.view(), s_lo.view(), "BCGS-PIP");
     dense::dd_round(s_hi.view(), s_lo.view(), r_diag);
   } else {
-    // Single fused reduce via the split-phase pair, so bcgs_pip and
-    // the pipelined begin/finish callers share one operation sequence
-    // (bitwise-identical results either way).
-    BcgsPipSplit split = bcgs_pip_begin(ctx, q, v);
-    if (overlap) {
-      overlap();
-    } else {
-      split.pending.no_overlap_credit();  // empty window
+    // G = [Q, V]^T V (Fig. 4a line 1): one fused reduce; caller-supplied
+    // trailing work rides in its overlap window.
+    dense::Matrix g(nq + s, s);
+    {
+      PendingReduce pending = fused_gram_ireduce(ctx, q, v, g.view());
+      if (overlap) {
+        overlap();
+      } else {
+        pending.no_overlap_credit();  // empty window: nothing was hidden
+      }
+      pending.wait();
     }
-    bcgs_pip_finish(ctx, split, q, v, r_prev, r_diag);
-    return;
+    // r_prev = Q^T V (top block of G); Pythagorean update
+    // S = V^T V - r_prev^T r_prev, then Cholesky (Fig. 4a line 2).
+    dense::copy(g.view().block(0, 0, nq, s), r_prev);
+    dense::copy(g.view().block(nq, 0, s, s), r_diag);
+    if (nq > 0) {
+      if (ctx.timers) ctx.timers->start("ortho/chol");
+      dense::gemm_tn(-1.0, r_prev, r_prev, 1.0, r_diag);
+      if (ctx.timers) ctx.timers->stop("ortho/chol");
+    }
+    chol_factor(ctx, r_diag, "BCGS-PIP");
   }
-
-  // V := (V - Q r_prev) r_diag^{-1} (Fig. 4a lines 3-4).
-  block_update(ctx, q, r_prev, v);
-  block_scale(ctx, r_diag, v);
-}
-
-BcgsPipSplit bcgs_pip_begin(OrthoContext& ctx, ConstMatrixView q,
-                            ConstMatrixView v) {
-  assert(!ctx.mixed_precision_gram &&
-         "split BCGS-PIP is the plain-double path; use bcgs_pip for dd");
-  BcgsPipSplit split;
-  split.nq = q.cols;
-  split.s = v.cols;
-  // G = [Q, V]^T V (paper Fig. 4a line 1), issued split-phase so the
-  // caller's work between begin and finish hides behind the modeled
-  // reduce latency.
-  split.g = dense::Matrix(split.nq + split.s, split.s);
-  split.pending = fused_gram_ireduce(ctx, q, v, split.g.view());
-  split.active = true;
-  return split;
-}
-
-void bcgs_pip_finish(OrthoContext& ctx, BcgsPipSplit& split, ConstMatrixView q,
-                     MatrixView v, MatrixView r_prev, MatrixView r_diag) {
-  assert(split.active);
-  const index_t nq = split.nq;
-  const index_t s = split.s;
-  assert(r_prev.rows == nq && r_prev.cols == s);
-  assert(r_diag.rows == s && r_diag.cols == s && v.cols == s);
-  split.pending.wait();
-  split.active = false;
-
-  // r_prev = Q^T V (top block of G).
-  dense::copy(split.g.view().block(0, 0, nq, s), r_prev);
-
-  // Pythagorean update: S = V^T V - r_prev^T r_prev, then Cholesky
-  // (Fig. 4a line 2).
-  dense::copy(split.g.view().block(nq, 0, s, s), r_diag);
-  if (nq > 0) {
-    if (ctx.timers) ctx.timers->start("ortho/chol");
-    dense::gemm_tn(-1.0, r_prev, r_prev, 1.0, r_diag);
-    if (ctx.timers) ctx.timers->stop("ortho/chol");
-  }
-  chol_factor(ctx, r_diag, "BCGS-PIP");
 
   // V := (V - Q r_prev) r_diag^{-1} (Fig. 4a lines 3-4).
   block_update(ctx, q, r_prev, v);

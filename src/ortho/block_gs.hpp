@@ -59,41 +59,6 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
               MatrixView r_prev, MatrixView r_diag,
               const OverlapHook& overlap = nullptr);
 
-/// In-flight state of a split BCGS-PIP: between bcgs_pip_begin and
-/// bcgs_pip_finish the fused Gram reduce is outstanding and the panel
-/// is still in its RAW (untransformed) state — the pipelined s-step
-/// runtime generates the next panel's matrix-powers columns in that
-/// gap.  Move-only via the owned PendingReduce; destroying it unwaited
-/// completes the reduce (PendingReduce's destructor), keeping ranks
-/// collective on exceptions.
-///
-/// Member order is load-bearing: `g` is the buffer published to the
-/// in-flight reduce, so `pending` must be declared after it —
-/// destruction then completes the collective (whose final barrier
-/// holds every rank until all peers have read the published spans)
-/// before the buffer is freed.
-struct BcgsPipSplit {
-  dense::Matrix g;  ///< fused Gram landing buffer, (q + s) x s
-  PendingReduce pending;
-  index_t nq = 0;
-  index_t s = 0;
-  bool active = false;
-};
-
-/// Issues the fused Gram reduce of bcgs_pip split-phase and returns
-/// with it in flight.  Plain-double path only: callers must fall back
-/// to bcgs_pip when ctx.mixed_precision_gram is set.  The begin/finish
-/// pair performs the exact operation sequence of bcgs_pip (one reduce,
-/// identical bits); only the owner of the overlap window differs.
-[[nodiscard]] BcgsPipSplit bcgs_pip_begin(OrthoContext& ctx, ConstMatrixView q,
-                                          ConstMatrixView v);
-
-/// Completes a split BCGS-PIP: waits on the reduce, then runs the
-/// Pythagorean update, Cholesky, and panel transform exactly as
-/// bcgs_pip does.  `q`/`v` must be the views passed to begin.
-void bcgs_pip_finish(OrthoContext& ctx, BcgsPipSplit& split, ConstMatrixView q,
-                     MatrixView v, MatrixView r_prev, MatrixView r_diag);
-
 /// BCGS-PIP2 (paper Fig. 4b): BCGS-PIP twice with triangular fix-ups.
 /// Two reduces.  With q == 0 this is CholQR2.  The second pass's
 /// scratch is allocated inside the first reduce's overlap window.

@@ -121,9 +121,7 @@ class ScopedGramPrecision {
 /// window (between the iallreduce begin and its wait), where the
 /// modeled fabric latency hides it.  Must not depend on the reduce
 /// result.  It may open NESTED communication windows (halo exchanges,
-/// further split-phase collectives up to par::kMaxInflight) — the
-/// pipelined s-step runtime runs a whole matrix-powers sweep, halo
-/// exchanges included, inside the stage-1 Gram reduce window — but it
+/// further split-phase collectives up to par::kMaxInflight), but it
 /// must not wait on this reduce's own request, and every rank must
 /// issue the identical nested sequence.
 using OverlapHook = std::function<void()>;

@@ -9,15 +9,6 @@ namespace tsbo::ortho {
 
 namespace {
 
-/// Minimum new-direction fraction |r_cc| / ||R(:, last)|| of a raw
-/// lookahead start column for the speculative panel to be kept.  A raw
-/// column below this is dominated by already-spanned directions, and
-/// the single-pass stage-1 of the panel speculated from it loses the
-/// new content to cancellation — empirically the threshold where the
-/// hand-off stops costing restart cycles (decayed monomial chains sit
-/// at 1e-6..1e-8; healthy Newton/Chebyshev starts at 1e-1 and up).
-constexpr double kLookaheadGuard = 0x1p-6;
-
 /// Writes the unit column e_k into l(:, k).
 void set_unit_column(MatrixView l, index_t k) {
   dense::fill(l.block(0, k, l.rows, 1), 0.0);
@@ -149,12 +140,8 @@ class TwoStageManager final : public BlockOrthoManager {
 
   void reset() override {
     big_begin_ = 1;
-    seed_width_ = 1;
     pending_ = 0;
     pending_starts_.clear();
-    raw_starts_.clear();
-    last_raw_start_ = -1;
-    last_raw_alpha_ = 1.0;
   }
 
   void reset_cycle(index_t n_seed) override {
@@ -162,7 +149,6 @@ class TwoStageManager final : public BlockOrthoManager {
     // block); the open big panel starts right after them.
     reset();
     big_begin_ = n_seed;
-    seed_width_ = n_seed;
   }
 
   void note_mpk_start(OrthoContext&, MatrixView l, index_t start) override {
@@ -175,23 +161,6 @@ class TwoStageManager final : public BlockOrthoManager {
       // column, known only after the flush.
       pending_starts_.push_back(start);
     }
-  }
-
-  void note_mpk_start_raw(OrthoContext&, index_t start) override {
-    // Lookahead hand-off: MPK consumes the column in its RAW state, so
-    // L(:, start) = alpha * R(:, start) once the flush fixes R up —
-    // the raw column's final-basis representation IS R(:, start),
-    // whether the column ends up interior to a big panel or on a
-    // boundary.
-    raw_starts_.push_back({start, 1.0});
-  }
-
-  [[nodiscard]] double lookahead_scale(index_t start) const override {
-    if (start == last_raw_start_) return last_raw_alpha_;
-    for (const RawStart& rs : raw_starts_) {
-      if (rs.start == start) return rs.alpha;
-    }
-    return 1.0;
   }
 
   index_t add_panel(OrthoContext& ctx, MatrixView basis, index_t q0, index_t s,
@@ -213,69 +182,6 @@ class TwoStageManager final : public BlockOrthoManager {
     return big_begin_;  // only columns before the big panel are final
   }
 
-  bool add_panel_begin(OrthoContext& ctx, MatrixView basis, index_t q0,
-                       index_t s, bool overlap_credit) override {
-    if (ctx.mixed_precision_gram) return false;  // dd reduce not split here
-    // The lookahead hands MPK ONE raw column (note_mpk_start_raw); a
-    // block cycle's b-wide MPK input has no split path.
-    if (seed_width_ > 1) return false;
-    if (big_begin_ == 0 || q0 < big_begin_) {
-      throw std::logic_error("TwoStageManager: panels must arrive in order");
-    }
-    // Stage 1 begin: identical local Gram + reduce as add_panel's
-    // bcgs_pip; the epilogue waits in add_panel_finish.  One global
-    // reduce either way — the sync count is unchanged.
-    split_ = bcgs_pip_begin(ctx, basis.columns(0, q0), basis.columns(q0, s));
-    if (!overlap_credit) split_.pending.no_overlap_credit();
-    return true;
-  }
-
-  index_t add_panel_finish(OrthoContext& ctx, MatrixView basis, index_t q0,
-                           index_t s, MatrixView r, MatrixView l) override {
-    if (!split_.active) {
-      throw std::logic_error("TwoStageManager: finish without begin");
-    }
-    bcgs_pip_finish(ctx, split_, basis.columns(0, q0), basis.columns(q0, s),
-                    r.block(0, q0, q0, s), r.block(q0, q0, s, s));
-    pending_ += s;
-
-    // Deferred normalization: the raw start recorded for the lookahead
-    // is this panel's last column; its scale comes from the stage-1
-    // Cholesky diagonal that just arrived.  Power of two, so the
-    // solver's rescale of the speculative panel is exact.
-    //
-    // Quality guard: r(last, last) is the raw column's new-direction
-    // magnitude and ||R(:, last)|| its full norm.  When the ratio drops
-    // below kLookaheadGuard the speculative panel is dominated by
-    // already-spanned directions and single-pass stage-1 would lose it
-    // to cancellation (monomial bases decay this ratio geometrically).
-    // Reject the speculation — scale 0 tells the solver to discard the
-    // panel and regenerate from the processed column.  The test uses
-    // only globally-reduced quantities, so every rank (and every
-    // pipeline_depth) takes the same branch.
-    const index_t last = q0 + s - 1;
-    for (auto it = raw_starts_.begin(); it != raw_starts_.end(); ++it) {
-      if (it->start != last) continue;
-      double norm2 = 0.0;
-      for (index_t i = 0; i <= last; ++i) norm2 += r(i, last) * r(i, last);
-      const double r_cc = r(last, last);
-      last_raw_start_ = last;
-      if (!(r_cc * r_cc >= kLookaheadGuard * kLookaheadGuard * norm2)) {
-        last_raw_alpha_ = 0.0;  // rejected (also catches NaN r_cc)
-        raw_starts_.erase(it);
-      } else {
-        it->alpha = pow2_recip_scale(r_cc);
-        last_raw_alpha_ = it->alpha;
-      }
-      break;
-    }
-
-    if (pending_ >= bs_) {
-      return flush(ctx, basis, q0 + s, r, l);
-    }
-    return big_begin_;
-  }
-
   index_t finalize(OrthoContext& ctx, MatrixView basis, index_t q_total,
                    MatrixView r, MatrixView l) override {
     if (pending_ > 0) return flush(ctx, basis, q_total, r, l);
@@ -285,14 +191,9 @@ class TwoStageManager final : public BlockOrthoManager {
   index_t rebase_after_breakdown(OrthoContext& ctx, MatrixView basis,
                                  index_t q_generated, MatrixView r,
                                  MatrixView l) override {
-    // Speculative lookahead hand-offs at or beyond the failure point
-    // die with the discarded columns.
-    std::erase_if(raw_starts_,
-                  [&](const RawStart& rs) { return rs.start >= q_generated; });
-    // A stage-2 breakdown inside add_panel / add_panel_finish leaves
-    // pending_ one panel ahead of what the solver accepted (that
-    // panel's stage 1 succeeded before the flush threw); re-align to
-    // the accepted prefix.
+    // A stage-2 breakdown inside add_panel leaves pending_ one panel
+    // ahead of what the solver accepted (that panel's stage 1 succeeded
+    // before the flush threw); re-align to the accepted prefix.
     pending_ = q_generated - big_begin_;
     if (pending_ <= 0) {
       pending_ = 0;
@@ -310,7 +211,6 @@ class TwoStageManager final : public BlockOrthoManager {
     } catch (const CholeskyBreakdown&) {
       pending_ = 0;
       pending_starts_.clear();
-      raw_starts_.clear();
       return big_begin_;
     }
   }
@@ -363,42 +263,16 @@ class TwoStageManager final : public BlockOrthoManager {
       for (index_t i = 0; i < nbig; ++i) l(qprev + i, start) = t_diag(i, local);
     }
 
-    // Lookahead raw starts: MPK consumed alpha times the raw column, so
-    // L(:, start) = alpha * R(:, start) — scale the L column the
-    // interior copy above just wrote (exact: alpha is a power of two).
-    for (auto it = raw_starts_.begin(); it != raw_starts_.end();) {
-      if (it->start >= qprev && it->start < q_end) {
-        if (it->alpha != 1.0) {
-          for (index_t i = 0; i <= it->start; ++i) {
-            l(i, it->start) *= it->alpha;
-          }
-        }
-        it = raw_starts_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
     pending_starts_.clear();
     pending_ = 0;
     big_begin_ = q_end;
     return q_end;
   }
 
-  struct RawStart {
-    index_t start;
-    double alpha;
-  };
-
   index_t bs_;
   index_t big_begin_ = 1;  // first column of the open big panel
-  index_t seed_width_ = 1;  // block width of the current cycle
   index_t pending_ = 0;    // pre-processed columns awaiting stage 2
   std::vector<index_t> pending_starts_;
-  std::vector<RawStart> raw_starts_;  // lookahead (raw-column) MPK starts
-  index_t last_raw_start_ = -1;       // most recent scale, kept past flush
-  double last_raw_alpha_ = 1.0;
-  BcgsPipSplit split_;  // in-flight stage-1 state between begin and finish
 };
 
 }  // namespace

@@ -25,8 +25,7 @@
 //
 // Multiple requests may be in flight per rank (up to kMaxInflight),
 // including neighbor exchanges nested inside a pending collective
-// window — the pipelined s-step runtime launches next-panel MPK halo
-// exchanges while the stage-1 Gram reduce is outstanding.  Per-window
+// window.  Per-window
 // overlap accounting mirrors a real fabric: every pending operation
 // progresses concurrently in wall-clock time, so one stretch of
 // compute earns credit in EVERY window that spans it, and the exposed

@@ -40,7 +40,7 @@
 // its build-time checksum and the entry invalidated if mutated.  Every
 // job resolves to a terminal JobOutcome — the queue always drains.
 //
-// Every successfully-run job's SolveReport (schema tsbo.solve_report/7,
+// Every successfully-run job's SolveReport (schema tsbo.solve_report/8,
 // service + resilience objects filled in) is appended to a
 // service-level ReportLog for uniform --json artifacts.
 

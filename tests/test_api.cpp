@@ -125,7 +125,6 @@ TEST(SolverOptions, RejectsOutOfRangeValuesWithRangeText) {
   };
   expect_range_error("m=0", "m=0");
   expect_range_error("s=-3", "s=-3");
-  expect_range_error("pipeline_depth=-1", "expected >= 0");
   expect_range_error("ranks=0", "ranks=0");
   expect_range_error("rtol=-1e-6", "a finite number > 0");
   expect_range_error("ny=-2", "0 inherits nx");
@@ -308,20 +307,24 @@ TEST(SolveReport, JsonMatchesGoldenSchema) {
   // Golden schema: the keys every consumer (compare tooling, plotting)
   // relies on must be present.
   for (const char* needle :
-       {"\"schema\": \"tsbo.solve_report/7\"", "\"options\"", "\"matrix\"",
+       {"\"schema\": \"tsbo.solve_report/8\"", "\"options\"", "\"matrix\"",
         "\"environment\"", "\"ranks\"", "\"threads\"", "\"result\"",
         "\"converged\"", "\"iters\"", "\"restarts\"", "\"relres\"",
         "\"true_relres\"", "\"time\"", "\"spmv\"", "\"ortho\"", "\"total\"",
         "\"ortho_breakdown\"", "\"phase_seconds\"", "\"comm\"",
         "\"allreduces\"", "\"bytes_exchanged\"", "\"exposed_seconds\"",
-        "\"overlapped_seconds\"", "\"lookahead_hits\"",
-        "\"lookahead_misses\"", "\"pipeline_depth\"", "\"service\"",
+        "\"overlapped_seconds\"", "\"service\"",
         "\"cache_hit\"", "\"warm_started\"", "\"reused\"", "\"history\"",
         "\"explicit_relres\"", "\"autopilot\"", "\"max_kappa_estimate\"",
         "\"rebase_recoveries\"", "\"final_s\"", "\"final_gram\"",
         "\"events\"",
         "\"ortho\": \"two_stage\"", "\"matrix\": \"laplace2d_5pt\""}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing " << needle;
+  }
+  // Keys dropped at /8 stay gone.
+  for (const char* needle : {"\"lookahead_hits\"", "\"lookahead_misses\"",
+                             "\"injected_seconds\""}) {
+    EXPECT_EQ(text.find(needle), std::string::npos) << "stale " << needle;
   }
   // The options echo must itself re-parse to the run's options.
   EXPECT_EQ(api::SolverOptions::parse(rep.options.to_string()), rep.options);

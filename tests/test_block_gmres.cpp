@@ -338,8 +338,8 @@ TEST(BlockGmres, OptionsValidation) {
   EXPECT_THROW(check("solver=gmres rhs=2"), std::invalid_argument);
   EXPECT_NO_THROW(check("solver=gmres rhs=1"));
   EXPECT_NO_THROW(check("solver=sstep rhs=4"));
-  // The lookahead and the autopilot are single-RHS features: rejected
-  // with an error naming the key, never silently ignored.
+  // The autopilot is a single-RHS feature: rejected with an error
+  // naming the key, never silently ignored.
   const auto message = [&](const std::string& spec) -> std::string {
     try {
       check(spec);
@@ -350,9 +350,7 @@ TEST(BlockGmres, OptionsValidation) {
   };
   EXPECT_NE(message("solver=sstep rhs=2 autopilot=1").find("autopilot"),
             std::string::npos);
-  EXPECT_NE(message("solver=sstep rhs=2 pipeline_depth=1").find("pipeline_depth"),
-            std::string::npos);
-  EXPECT_NO_THROW(check("solver=sstep rhs=1 autopilot=1 pipeline_depth=1"));
+  EXPECT_NO_THROW(check("solver=sstep rhs=1 autopilot=1"));
   // The block solver enforces the same shape rules as the scalar one.
   const sparse::CsrMatrix a = sparse::laplace2d_5pt(8, 8);
   const std::vector<double> bk = api::batch_rhs(a, 2);
@@ -366,7 +364,7 @@ TEST(BlockGmres, OptionsValidation) {
                          cfg.conv_reference = {1.0};
                        }),
       std::invalid_argument);
-  // The driver rejects the width-1 features on its own, too.
+  // krylov::sstep_gmres rejects the width-1 autopilot on its own, too.
   const auto driver_message =
       [&](const std::function<void(krylov::SStepGmresConfig&)>& tweak)
       -> std::string {
@@ -380,10 +378,6 @@ TEST(BlockGmres, OptionsValidation) {
   EXPECT_NE(driver_message([](krylov::SStepGmresConfig& cfg) {
               cfg.autopilot.enabled = true;
             }).find("autopilot"),
-            std::string::npos);
-  EXPECT_NE(driver_message([](krylov::SStepGmresConfig& cfg) {
-              cfg.pipeline_depth = 1;
-            }).find("pipeline_depth"),
             std::string::npos);
 }
 

@@ -238,21 +238,17 @@ TEST(CancelTest, DeadlineExpiresMidSolveAndGuardSkips) {
   EXPECT_LT(report.result.restarts, 50);
 }
 
-TEST(CancelTest, ThrowDuringSplitPhaseReduceWindowUnwindsCleanly) {
-  // With pipeline_depth=1 the next panel's matrix-powers kernel runs
-  // inside the stage-1 Gram's pending-reduce window; a throw at the
-  // spmv site unwinds through it, relying on the PendingReduce /
-  // CommRequest destructors to complete the open collective on every
-  // rank.  No deadlock, and the runtime stays usable.
+TEST(CancelTest, ThrowInsideSpmvUnwindsCleanlyAndRuntimeStaysUsable) {
+  // A throw at the spmv site fires inside the halo exchange window of a
+  // matrix-powers SpMV; unwinding relies on the CommRequest destructors
+  // to complete the open exchange on every rank.  No deadlock, and a
+  // clean solve runs afterwards on the same runtime.
   for (const int ranks : {2, 7}) {
     api::SolverOptions opts = bounded_opts(28, ranks);
-    opts.pipeline_depth = 1;
     opts.faults = "spmv.interior@7:throw";
     api::Solver solver(opts);
     EXPECT_THROW((void)solver.solve(), par::InjectedFault);
-    api::SolverOptions clean_opts = bounded_opts(28, ranks);
-    clean_opts.pipeline_depth = 1;
-    api::Solver clean(clean_opts);
+    api::Solver clean(bounded_opts(28, ranks));
     EXPECT_NO_THROW((void)clean.solve());
   }
 }

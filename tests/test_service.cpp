@@ -211,7 +211,7 @@ TEST(Service, ReportCarriesServiceObject) {
   (void)svc.wait(svc.submit(opts));
   const service::JobResult warm = svc.wait(svc.submit(opts));
   const std::string json = warm.report.json();
-  EXPECT_NE(json.find("\"schema\": \"tsbo.solve_report/7\""),
+  EXPECT_NE(json.find("\"schema\": \"tsbo.solve_report/8\""),
             std::string::npos);
   EXPECT_NE(json.find("\"service\": {"), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit\": true"), std::string::npos);
