@@ -57,10 +57,20 @@ Config& cfg() {
 // on when this same thread already holds it.
 thread_local int tl_serial_depth = 0;
 
+// This thread's rank-private pool (ScopedRankPool), or nullptr.
+thread_local ThreadPool* tl_rank_pool = nullptr;
+
 }  // namespace
 
 ScopedSerial::ScopedSerial() { ++tl_serial_depth; }
 ScopedSerial::~ScopedSerial() { --tl_serial_depth; }
+
+ScopedRankPool::ScopedRankPool(ThreadPool& lanes) { tl_rank_pool = &lanes; }
+ScopedRankPool::~ScopedRankPool() { tl_rank_pool = nullptr; }
+
+bool in_parallel_region() {
+  return tl_serial_depth > 0 || tl_rank_pool != nullptr;
+}
 
 unsigned num_threads() {
   auto& c = cfg();
@@ -122,6 +132,36 @@ ThreadPool& pool() {
 
 namespace {
 
+/// Lanes a dispatch on this thread may use: 1 on a serial-only thread,
+/// the rank pool's lanes when one is installed, else num_threads().
+unsigned lanes() {
+  if (tl_serial_depth > 0) return 1;
+  if (tl_rank_pool != nullptr) return tl_rank_pool->size() + 1;
+  return num_threads();
+}
+
+/// Runs `pooled(pool)` on this thread's rank pool, or else on the
+/// shared pool when no other thread is dispatching to it; runs
+/// `fallback()` inline when the shared pool is busy.  Chunks that land
+/// on the calling thread run serial-only, so they neither re-enter a
+/// pool nor try_lock the dispatch mutex this thread holds; worker
+/// threads are serial-only for their whole life.
+template <typename Pooled, typename Fallback>
+void on_pool(const Pooled& pooled, const Fallback& fallback) {
+  if (ThreadPool* rank = tl_rank_pool) {
+    ScopedSerial serial;
+    pooled(*rank);
+    return;
+  }
+  std::unique_lock lock(cfg().dispatch, std::try_to_lock);
+  if (!lock.owns_lock()) {  // concurrent caller on another thread
+    fallback();
+    return;
+  }
+  ScopedSerial serial;
+  pooled(pool());
+}
+
 /// Runs `work(begin, end)`-style jobs of `njobs` units on the pool,
 /// falling back to one inline `work(0, njobs)` call when threading is
 /// off, the job is too small for the pool to split (mirrors the
@@ -129,23 +169,13 @@ namespace {
 /// the lock), this thread is serial-only, or the pool is busy.
 template <typename Work>
 void dispatch(std::size_t njobs, std::size_t grain_units, const Work& work) {
-  const unsigned threads = num_threads();
-  if (tl_serial_depth > 0 || threads <= 1 || njobs < 2 * threads ||
-      grain_units < parallel_grain()) {
+  const unsigned threads = lanes();
+  if (threads <= 1 || njobs < 2 * threads || grain_units < parallel_grain()) {
     work(0, njobs);
     return;
   }
-  auto& c = cfg();
-  std::unique_lock lock(c.dispatch, std::try_to_lock);
-  if (!lock.owns_lock()) {  // concurrent caller on another thread
-    work(0, njobs);
-    return;
-  }
-  // Chunks of this job that run on the calling thread must not
-  // re-enter the pool (and must not try_lock a mutex this thread
-  // holds); worker threads are covered by the busy dispatch mutex.
-  ScopedSerial serial;
-  pool().parallel_for(njobs, work);
+  on_pool([&](ThreadPool& p) { p.parallel_for(njobs, work); },
+          [&] { work(0, njobs); });
 }
 
 }  // namespace
@@ -173,22 +203,14 @@ void parallel_jobs(std::size_t n,
   const auto run_range = [&fn](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
   };
-  const unsigned threads = num_threads();
-  if (tl_serial_depth > 0 || threads <= 1 || n == 1) {
+  if (lanes() <= 1 || n == 1) {
     run_range(0, n);
     return;
   }
-  auto& c = cfg();
-  std::unique_lock lock(c.dispatch, std::try_to_lock);
-  if (!lock.owns_lock()) {  // concurrent caller on another thread
-    run_range(0, n);
-    return;
-  }
-  // Job bodies that land on the calling thread must not re-enter the
-  // pool; see dispatch() above.  Jobs are coarse by contract, so no
-  // grain check: even two jobs are worth a second lane.
-  ScopedSerial serial;
-  pool().parallel_for_chunked(n, 1, run_range);
+  // Jobs are coarse by contract, so no grain check: even two jobs are
+  // worth a second lane.
+  on_pool([&](ThreadPool& p) { p.parallel_for_chunked(n, 1, run_range); },
+          [&] { run_range(0, n); });
 }
 
 void for_reduce_chunks(

@@ -17,10 +17,16 @@
 // Thread count resolution order:
 //   set_num_threads(n > 0)  >  TSBO_NUM_THREADS  >  hardware_concurrency.
 //
-// Nested and concurrent callers degrade to the serial path instead of
-// fighting over the shared pool (see ScopedSerial below; SPMD rank
-// threads are always serial-only); because of the contract above this
-// changes timing only, never results.
+// Thread budget: num_threads() is the total for the process.  A
+// top-level SPMD launch of nranks ranks gives each rank
+// k = max(1, num_threads() / nranks) lanes in a rank-private pool (see
+// ScopedRankPool and spmd.hpp); kernels called on a rank thread fan out
+// across those lanes only.  Nested and concurrent callers degrade to
+// the serial path instead of fighting over a pool (see ScopedSerial
+// below): pool workers are serial-only, so an SPMD launch nested inside
+// a parallel region (a service job on a parallel_jobs lane) runs its
+// ranks single-lane.  Because of the contract above this changes timing
+// only, never results.
 
 #include "par/thread_pool.hpp"
 
@@ -60,13 +66,11 @@ ThreadPool& pool();
 
 /// Marks the calling thread serial-only for its lifetime: every
 /// dispatch helper below runs inline on this thread until the guard is
-/// destroyed.  The SPMD runtime wraps each simulated rank in one —
-/// rank threads are pinned to a core and model MPI processes, so
-/// node-level kernel threading inside a rank would oversubscribe the
-/// machine and change what the rank-scaling benchmarks measure.  The
-/// dispatch helpers also install one around their own pool dispatch,
-/// so a kernel nested inside another kernel's chunk stays inline
-/// instead of re-entering the pool.
+/// destroyed.  The SPMD runtime wraps each single-lane rank in one, and
+/// every ThreadPool worker runs under one.  The dispatch helpers also
+/// install one around their own pool dispatch, so a kernel nested
+/// inside another kernel's chunk stays inline instead of re-entering
+/// the pool.
 class ScopedSerial {
  public:
   ScopedSerial();
@@ -75,9 +79,29 @@ class ScopedSerial {
   ScopedSerial& operator=(const ScopedSerial&) = delete;
 };
 
-/// fn(begin, end) over a disjoint partition of [0, n).  Runs inline
-/// when n < parallel_grain(), a single thread is configured, or the
-/// pool is already busy with another dispatch.
+/// Installs `lanes` as the calling thread's kernel pool for the
+/// guard's lifetime: the dispatch helpers below fan out across it
+/// instead of the shared pool().  Only the installing thread dispatches
+/// to it, so no lock is taken.  The SPMD runtime installs one on each
+/// multi-lane rank thread.
+class ScopedRankPool {
+ public:
+  explicit ScopedRankPool(ThreadPool& lanes);
+  ~ScopedRankPool();
+  ScopedRankPool(const ScopedRankPool&) = delete;
+  ScopedRankPool& operator=(const ScopedRankPool&) = delete;
+};
+
+/// True on a thread that is already inside a parallel region: under a
+/// ScopedSerial (pool workers included) or a ScopedRankPool.  An SPMD
+/// launch from such a thread gives its ranks one lane and no pinning.
+bool in_parallel_region();
+
+/// fn(begin, end) over a disjoint partition of [0, n).  Runs on the
+/// calling thread's rank pool when one is installed, otherwise on the
+/// shared pool.  Runs inline when n < parallel_grain(), a single lane
+/// is available, this thread is serial-only, or the shared pool is
+/// already busy with another dispatch.
 void parallel_for_grained(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -88,13 +112,16 @@ void parallel_for_tiles(
     const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// Runs fn(job) for every job index in [0, n), scheduling whole jobs as
-/// unit chunks across the shared pool (ThreadPool::parallel_for_chunked
-/// with chunk = 1): the job -> lane partition is claimed off one
-/// monotone cursor, so jobs are dispatched strictly in ascending index
-/// order regardless of lane count.  Falls back to an inline ascending
-/// loop when a single thread is configured, this thread is serial-only,
-/// or the pool is busy with another dispatch — the dispatch order is
-/// identical either way.  Intended for coarse, long-running jobs (the
+/// unit chunks across the pool parallel_for_grained would use
+/// (ThreadPool::parallel_for_chunked with chunk = 1): the job -> lane
+/// partition is claimed off one monotone cursor, so jobs are dispatched
+/// strictly in ascending index order regardless of lane count.  Falls
+/// back to an inline ascending loop when a single lane is available,
+/// this thread is serial-only, or the shared pool is busy with another
+/// dispatch — the dispatch order is identical either way.  Job bodies
+/// that fan out run serial-only, so an SPMD launch inside one runs
+/// single-lane and unpinned; a lone or inline job is a top-level
+/// caller.  Intended for coarse, long-running jobs (the
 /// solver service schedules whole solves through it); element-wise
 /// kernels should keep using parallel_for_grained.
 void parallel_jobs(std::size_t n, const std::function<void(std::size_t)>& fn);

@@ -17,14 +17,35 @@ namespace tsbo::par {
 
 namespace {
 
-void pin_to_core(unsigned core) {
+/// CPUs the calling thread may run on, in ascending order (empty where
+/// affinity is not supported).
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
 #if defined(__linux__)
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(core % std::max(1u, std::thread::hardware_concurrency()), &set);
+  if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+#endif
+  return cpus;
+}
+
+/// Confines the calling thread to cpus[first, first + count).  Threads
+/// it creates afterwards inherit the mask.
+void confine_to(const std::vector<int>& cpus, std::size_t first,
+                std::size_t count) {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (std::size_t i = first; i < first + count; ++i) CPU_SET(cpus[i], &set);
   pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 #else
-  (void)core;
+  (void)cpus;
+  (void)first;
+  (void)count;
 #endif
 }
 
@@ -36,20 +57,36 @@ void spmd_run(int nranks, const NetworkModel& model,
   SpmdContext ctx(nranks, model);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
 
-  const bool pin = nranks <= static_cast<int>(std::thread::hardware_concurrency());
+  // Split the thread budget: k lanes per rank at top level, one lane
+  // and no pinning inside another parallel region.  Rank r is confined
+  // to cores [r*k, (r+1)*k) before it builds its pool, so its workers
+  // inherit the mask (pinning the rank to one core first would stack
+  // every lane on that core).
+  const bool nested = in_parallel_region();
+  const unsigned k =
+      nested ? 1u : std::max(1u, num_threads() / static_cast<unsigned>(nranks));
+  const std::vector<int> cpus = nested ? std::vector<int>{} : allowed_cpus();
+  const bool pin = !cpus.empty() &&
+                   static_cast<std::size_t>(nranks) * k <= cpus.size();
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
-      if (pin) pin_to_core(static_cast<unsigned>(r));
       try {
-        // Rank threads model MPI processes pinned one-per-core: kernel
-        // calls inside a rank stay serial so rank-scaling benchmarks
-        // measure rank parallelism, not nested node-level threading.
-        ScopedSerial serial;
-        Communicator comm(ctx, r);
-        fn(comm);
+        if (pin) confine_to(cpus, static_cast<std::size_t>(r) * k, k);
+        const auto run = [&] {
+          Communicator comm(ctx, r);
+          fn(comm);
+        };
+        if (k > 1) {
+          ThreadPool lanes(k);
+          ScopedRankPool scope(lanes);
+          run();
+        } else {
+          ScopedSerial serial;
+          run();
+        }
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
       }

@@ -1,8 +1,23 @@
 #include "par/thread_pool.hpp"
 
+#include "par/config.hpp"
+
 #include <algorithm>
+#include <chrono>
 
 namespace tsbo::par {
+
+namespace {
+
+/// How long the dispatching thread polls for the last in-flight chunks
+/// before it blocks.  That wait is usually one chunk long, and it sits
+/// on the caller's critical path (an SPMD rank's, between collectives):
+/// blocking costs a futex wake-up and, on a virtual machine, the
+/// re-scheduling of a halted vCPU, which can take milliseconds on a
+/// busy host.
+constexpr auto kCompletionSpin = std::chrono::microseconds(100);
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
@@ -91,6 +106,10 @@ void ThreadPool::parallel_for_chunked(
     }
   }
 
+  const auto spin_end = std::chrono::steady_clock::now() + kCompletionSpin;
+  while (has_job_.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < spin_end) {
+  }
   std::exception_ptr error;
   {
     std::unique_lock lock(mutex_);
@@ -102,6 +121,9 @@ void ThreadPool::parallel_for_chunked(
 }
 
 void ThreadPool::worker_loop() {
+  // Workers are lanes of somebody else's dispatch: kernels (and SPMD
+  // launches) nested in a chunk run inline here.
+  ScopedSerial serial;
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
@@ -137,11 +159,6 @@ void ThreadPool::worker_loop() {
       }
     }
   }
-}
-
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace tsbo::par

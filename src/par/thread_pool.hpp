@@ -1,12 +1,14 @@
 #pragma once
 // Persistent worker-thread pool with blocked-range parallel_for.
 //
-// Used for node-local data parallelism (matrix generation, single-rank
-// kernels).  The SPMD distributed runtime in spmd.hpp deliberately does
-// NOT use this pool: there, each simulated MPI rank is its own thread
-// with rank-private data, mirroring the one-rank-per-GPU layout of the
-// paper's Summit runs.
+// Used for node-local data parallelism: the shared pool (par::pool())
+// serves callers outside any SPMD rank, and each multi-lane SPMD rank
+// owns a private pool of k = max(1, num_threads() / nranks) lanes (see
+// spmd.hpp), mirroring the paper's Summit layout where every MPI rank
+// drives a whole GPU.  Workers are serial-only (par::ScopedSerial):
+// anything nested in a chunk runs inline on the worker.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -48,9 +50,6 @@ class ThreadPool {
       std::size_t n, std::size_t chunk,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Process-wide default pool (lazily constructed).
-  static ThreadPool& global();
-
  private:
   void worker_loop();
 
@@ -68,7 +67,9 @@ class ThreadPool {
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   Job job_;
-  bool has_job_ = false;
+  // Written under mutex_; the dispatching thread also polls it
+  // lock-free while its last chunks finish (see parallel_for_chunked).
+  std::atomic<bool> has_job_{false};
   bool stop_ = false;
   std::uint64_t generation_ = 0;
 };

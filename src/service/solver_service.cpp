@@ -66,39 +66,52 @@ std::uint64_t SolverService::submit(const std::string& spec,
 }
 
 std::uint64_t SolverService::submit(api::SolverOptions opts) {
-  opts.validate();
-  Job job;
-  job.opts = std::move(opts);
-  return enqueue(std::move(job));
+  return submit_batch({std::move(opts)}).front();
 }
 
 std::uint64_t SolverService::submit(api::SolverOptions opts,
                                     std::vector<double> rhs) {
   opts.validate();
-  Job job;
-  job.opts = std::move(opts);
-  job.rhs = std::move(rhs);
-  job.has_rhs = true;
-  return enqueue(std::move(job));
+  std::vector<Job> jobs(1);
+  jobs[0].opts = std::move(opts);
+  jobs[0].rhs = std::move(rhs);
+  jobs[0].has_rhs = true;
+  return enqueue(std::move(jobs)).front();
 }
 
-std::uint64_t SolverService::enqueue(Job job) {
+std::vector<std::uint64_t> SolverService::submit_batch(
+    std::vector<api::SolverOptions> batch) {
+  std::vector<Job> jobs(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].validate();
+    jobs[i].opts = std::move(batch[i]);
+  }
+  return enqueue(std::move(jobs));
+}
+
+std::vector<std::uint64_t> SolverService::enqueue(std::vector<Job> jobs) {
   std::unique_lock lock(mu_);
-  cv_space_.wait(lock, [this] {
-    return stop_ || queue_.size() < cfg_.queue_capacity;
+  cv_space_.wait(lock, [this, &jobs] {
+    return stop_ || queue_.empty() ||
+           queue_.size() + jobs.size() <= cfg_.queue_capacity;
   });
   if (stop_) {
     throw std::runtime_error("service: submit() on a stopping SolverService");
   }
-  job.id = next_id_++;
-  job.submitted = std::chrono::steady_clock::now();
-  job.token = std::make_shared<par::CancelToken>();
-  tokens_.emplace(job.id, job.token);
-  const std::uint64_t id = job.id;
-  queue_.push_back(std::move(job));
-  ++inflight_;
+  std::vector<std::uint64_t> ids;
+  ids.reserve(jobs.size());
+  const auto now = std::chrono::steady_clock::now();
+  for (Job& job : jobs) {
+    job.id = next_id_++;
+    job.submitted = now;
+    job.token = std::make_shared<par::CancelToken>();
+    tokens_.emplace(job.id, job.token);
+    ids.push_back(job.id);
+    queue_.push_back(std::move(job));
+    ++inflight_;
+  }
   cv_work_.notify_one();
-  return id;
+  return ids;
 }
 
 JobResult SolverService::wait(std::uint64_t id) {

@@ -139,6 +139,15 @@ class SolverService {
   std::uint64_t submit(const std::string& spec, std::vector<double> rhs);
   std::uint64_t submit(api::SolverOptions opts, std::vector<double> rhs);
 
+  /// Enqueues every job of `batch` atomically: all are validated first
+  /// (nothing is enqueued if one throws), then pushed under one lock
+  /// with one wake-up, so the scheduler's rounds see the whole batch
+  /// and round membership depends only on the submission sequence.
+  /// Waits, if needed, until the queue has room for the entire batch
+  /// (the batch may exceed queue_capacity only on an empty queue).
+  /// Returns the job ids in batch order.
+  std::vector<std::uint64_t> submit_batch(std::vector<api::SolverOptions> batch);
+
   /// Blocks until job `id` completes and returns (consumes) its
   /// result.  Throws std::invalid_argument for unknown/claimed ids.
   JobResult wait(std::uint64_t id);
@@ -175,7 +184,9 @@ class SolverService {
     std::shared_ptr<par::CancelToken> token;
   };
 
-  std::uint64_t enqueue(Job job);
+  /// Enqueues `jobs` in order under one lock and one notify; returns
+  /// their ids.
+  std::vector<std::uint64_t> enqueue(std::vector<Job> jobs);
   void scheduler_loop();
   void run_job(Job& job, std::uint64_t dispatch_seq);
   /// One solve attempt against the cached operator; fills res.report /

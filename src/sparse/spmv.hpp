@@ -4,8 +4,9 @@
 // All entry points share one pointer-based row kernel and are threaded
 // over disjoint row ranges via par::ThreadPool; per-row accumulation
 // order is fixed by the CSR layout, so results are bit-identical at any
-// thread count.  SPMD rank threads always take the serial path (see
-// par::ScopedSerial); other concurrent callers degrade automatically.
+// thread count.  On an SPMD rank thread they split across the rank's
+// private lanes (see par/spmd.hpp); other concurrent callers degrade
+// automatically.
 
 #include "sparse/csr.hpp"
 

@@ -1,5 +1,6 @@
 // SPMD runtime: thread pool, barrier, collectives, cost model.
 
+#include "par/config.hpp"
 #include "par/spmd.hpp"
 #include "par/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -7,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -156,6 +161,54 @@ TEST(Spmd, ExceptionsPropagateToCaller) {
                       if (comm.rank() >= 0) throw std::runtime_error("boom");
                     }),
       std::runtime_error);
+}
+
+/// Thread ids that ran the chunks of one parallel_for_grained over
+/// 4 * parallel_grain() elements.  Each chunk sleeps briefly so an idle
+/// lane gets to claim work even on a single-core host.
+std::set<std::thread::id> chunk_threads() {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  const auto record = [&](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::lock_guard lock(mu);
+    ids.insert(std::this_thread::get_id());
+  };
+  par::parallel_for_grained(4 * par::parallel_grain(), record);
+  return ids;
+}
+
+TEST(Spmd, EachRankFansOutOverItsOwnLanes) {
+  // Budget 4 over 2 ranks: 2 lanes per rank, private to the rank.
+  par::set_num_threads(4);
+  std::vector<std::set<std::thread::id>> per_rank(2);
+  par::spmd_run(2, [&](par::Communicator& comm) {
+    per_rank[static_cast<std::size_t>(comm.rank())] = chunk_threads();
+  });
+  par::set_num_threads(0);
+  EXPECT_GT(per_rank[0].size(), 1u);
+  EXPECT_GT(per_rank[1].size(), 1u);
+  for (const std::thread::id id : per_rank[0]) {
+    EXPECT_EQ(per_rank[1].count(id), 0u) << "a lane served both ranks";
+  }
+}
+
+TEST(Spmd, LaunchNestedInParallelJobsRunsRanksSingleLane) {
+  par::set_num_threads(4);
+  constexpr std::size_t kJobs = 4;
+  std::vector<std::thread::id> rank_thread(kJobs);
+  std::vector<std::set<std::thread::id>> chunks(kJobs);
+  par::parallel_jobs(kJobs, [&](std::size_t job) {
+    par::spmd_run(1, [&](par::Communicator&) {
+      rank_thread[job] = std::this_thread::get_id();
+      chunks[job] = chunk_threads();
+    });
+  });
+  par::set_num_threads(0);
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    EXPECT_EQ(chunks[job], std::set<std::thread::id>{rank_thread[job]})
+        << "job " << job;
+  }
 }
 
 TEST(Spmd, CommStatsCountOperations) {

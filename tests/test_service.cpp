@@ -388,8 +388,11 @@ TEST(Service, MaxInflightPerKeyCapsBurstsButKeepsRelativeOrder) {
   service::ServiceConfig cfg;
   cfg.max_inflight_per_key = 1;
   service::SolverService svc(cfg);
-  std::vector<std::uint64_t> ids;
-  for (const int nx : burst_nx) ids.push_back(svc.submit(bounded_opts(nx, 2)));
+  // One atomic submission: round 1 sees the whole burst, whatever the
+  // scheduler thread's timing.
+  std::vector<api::SolverOptions> burst;
+  for (const int nx : burst_nx) burst.push_back(bounded_opts(nx, 2));
+  const std::vector<std::uint64_t> ids = svc.submit_batch(std::move(burst));
   std::vector<service::JobResult> results;
   for (const std::uint64_t id : ids) results.push_back(svc.wait(id));
 
@@ -468,6 +471,11 @@ TEST(Service, SubmitRejectsInvalidOptionsEagerly) {
   }
   EXPECT_THROW(svc.submit("matrix=no_such_matrix nx=24"),
                std::invalid_argument);
+  // A batch is validated whole before any of it is enqueued.
+  std::vector<api::SolverOptions> batch = {
+      bounded_opts(24, 1),
+      api::SolverOptions::parse("matrix=no_such_matrix nx=24")};
+  EXPECT_THROW(svc.submit_batch(std::move(batch)), std::invalid_argument);
   // The queue saw nothing.
   EXPECT_TRUE(svc.drain().empty());
 }

@@ -6,6 +6,7 @@
 // path the harnesses use.
 
 #include "api/solver.hpp"
+#include "par/config.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/spmv.hpp"
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -248,6 +250,32 @@ TEST(SstepGmres, DeterministicAcrossRankCounts) {
   const auto [r3, x3] = run_sstep(p, 3, "ortho=bcgs_pip2 rtol=1e-7");
   EXPECT_EQ(r1.iters, r3.iters);
   for (std::size_t i = 0; i < x1.size(); ++i) EXPECT_NEAR(x1[i], x3[i], 1e-9);
+}
+
+TEST(SstepGmres, BitwiseAcrossThreadsWhenRankLanesDispatch) {
+  // 32768 rows per rank cross parallel_grain(), so at threads=2 and 4
+  // the rank-private lanes really split SpMV, Gram and update kernels;
+  // the toy-shape {1,2,7} determinism tests never dispatch.
+  const Problem p = make_problem(sparse::laplace2d_9pt(256, 256));
+  const std::string spec = "ortho=two_stage rtol=1e-6 max_restarts=1";
+  par::set_num_threads(1);
+  const auto [r1, x1] = run_sstep(p, 2, spec);
+  for (const unsigned threads : {2u, 4u}) {
+    par::set_num_threads(threads);
+    const auto [rt, xt] = run_sstep(p, 2, spec);
+    EXPECT_EQ(rt.iters, r1.iters) << "threads=" << threads;
+    EXPECT_EQ(rt.comm_stats.allreduces, r1.comm_stats.allreduces)
+        << "threads=" << threads;
+    EXPECT_EQ(rt.comm_stats.p2p_rounds, r1.comm_stats.p2p_rounds)
+        << "threads=" << threads;
+    ASSERT_EQ(xt.size(), x1.size());
+    for (std::size_t i = 0; i < x1.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(xt[i]),
+                std::bit_cast<std::uint64_t>(x1[i]))
+          << "threads=" << threads << " row " << i;
+    }
+  }
+  par::set_num_threads(0);
 }
 
 TEST(SstepGmres, BreakdownPolicyThrowSurfacesIllConditioning) {
