@@ -66,11 +66,10 @@ ThreadPool& pool();
 
 /// Marks the calling thread serial-only for its lifetime: every
 /// dispatch helper below runs inline on this thread until the guard is
-/// destroyed.  The SPMD runtime wraps each single-lane rank in one, and
-/// every ThreadPool worker runs under one.  The dispatch helpers also
-/// install one around their own pool dispatch, so a kernel nested
-/// inside another kernel's chunk stays inline instead of re-entering
-/// the pool.
+/// destroyed.  Every ThreadPool worker runs under one.  The dispatch
+/// helpers also install one around their own pool dispatch, so a
+/// kernel nested inside another kernel's chunk stays inline instead of
+/// re-entering the pool.
 class ScopedSerial {
  public:
   ScopedSerial();
@@ -82,8 +81,9 @@ class ScopedSerial {
 /// Installs `lanes` as the calling thread's kernel pool for the
 /// guard's lifetime: the dispatch helpers below fan out across it
 /// instead of the shared pool().  Only the installing thread dispatches
-/// to it, so no lock is taken.  The SPMD runtime installs one on each
-/// multi-lane rank thread.
+/// to it, so no lock is taken.  The SPMD runtime installs one on every
+/// rank thread; a single-lane rank's pool has no workers, so its
+/// kernels run inline.
 class ScopedRankPool {
  public:
   explicit ScopedRankPool(ThreadPool& lanes);

@@ -75,18 +75,10 @@ void spmd_run(int nranks, const NetworkModel& model,
     threads.emplace_back([&, r] {
       try {
         if (pin) confine_to(cpus, static_cast<std::size_t>(r) * k, k);
-        const auto run = [&] {
-          Communicator comm(ctx, r);
-          fn(comm);
-        };
-        if (k > 1) {
-          ThreadPool lanes(k);
-          ScopedRankPool scope(lanes);
-          run();
-        } else {
-          ScopedSerial serial;
-          run();
-        }
+        ThreadPool lanes(k);
+        ScopedRankPool scope(lanes);
+        Communicator comm(ctx, r);
+        fn(comm);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
       }

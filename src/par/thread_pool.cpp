@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 namespace tsbo::par {
 
@@ -14,7 +15,8 @@ namespace {
 /// on the caller's critical path (an SPMD rank's, between collectives):
 /// blocking costs a futex wake-up and, on a virtual machine, the
 /// re-scheduling of a halted vCPU, which can take milliseconds on a
-/// busy host.
+/// busy host.  The poll yields, so on an oversubscribed host it hands
+/// its core to the worker that holds the last chunk.
 constexpr auto kCompletionSpin = std::chrono::microseconds(100);
 
 }  // namespace
@@ -109,6 +111,7 @@ void ThreadPool::parallel_for_chunked(
   const auto spin_end = std::chrono::steady_clock::now() + kCompletionSpin;
   while (has_job_.load(std::memory_order_acquire) &&
          std::chrono::steady_clock::now() < spin_end) {
+    std::this_thread::yield();
   }
   std::exception_ptr error;
   {

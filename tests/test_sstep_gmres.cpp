@@ -253,14 +253,19 @@ TEST(SstepGmres, DeterministicAcrossRankCounts) {
 }
 
 TEST(SstepGmres, BitwiseAcrossThreadsWhenRankLanesDispatch) {
-  // 32768 rows per rank cross parallel_grain(), so at threads=2 and 4
-  // the rank-private lanes really split SpMV, Gram and update kernels;
-  // the toy-shape {1,2,7} determinism tests never dispatch.
+  // 32768 rows per rank cross parallel_grain(), so the rank-private
+  // lanes really split SpMV, Gram and update kernels; the toy-shape
+  // {1,2,7} determinism tests never dispatch.  Over ranks=2, threads=2
+  // is still one lane per rank (the threads=1 path), 4 gives each rank
+  // an even lane count (2) and 7 an odd one (3).
   const Problem p = make_problem(sparse::laplace2d_9pt(256, 256));
   const std::string spec = "ortho=two_stage rtol=1e-6 max_restarts=1";
+  struct RestoreThreads {
+    ~RestoreThreads() { par::set_num_threads(0); }
+  } restore;
   par::set_num_threads(1);
   const auto [r1, x1] = run_sstep(p, 2, spec);
-  for (const unsigned threads : {2u, 4u}) {
+  for (const unsigned threads : {2u, 4u, 7u}) {
     par::set_num_threads(threads);
     const auto [rt, xt] = run_sstep(p, 2, spec);
     EXPECT_EQ(rt.iters, r1.iters) << "threads=" << threads;
@@ -275,7 +280,6 @@ TEST(SstepGmres, BitwiseAcrossThreadsWhenRankLanesDispatch) {
           << "threads=" << threads << " row " << i;
     }
   }
-  par::set_num_threads(0);
 }
 
 TEST(SstepGmres, BreakdownPolicyThrowSurfacesIllConditioning) {
