@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       "\nAll preconditioners are rank-local (block Jacobi style): note the\n"
       "all-reduce counts shrink with the iteration count, never grow with\n"
       "preconditioner complexity.  'comm exp/ovl' split the modeled fabric\n"
-      "time into the exposed share and the share the split-phase runtime\n"
-      "hid behind interior SpMV rows and trailing ortho work.\n");
+      "time into the exposed share and the share the split-phase halo\n"
+      "exchanges hid behind interior SpMV rows.\n");
   return 0;
 }

@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   ts_rep.result.comm_stats.allreduces));
 
-  // Split-phase comm accounting: exposed = modeled fabric time spun on
-  // the critical path, overlapped = the share hidden behind local
-  // compute (interior SpMV rows, trailing ortho panel work).
+  // Comm accounting: exposed = modeled fabric time spun on the critical
+  // path, overlapped = the share the split-phase halo exchanges hid
+  // behind interior SpMV rows.
   const auto comm_row = [](const std::string& name,
                            const api::SolveReport& rep) {
     const auto& c = rep.result.comm_stats;

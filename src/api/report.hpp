@@ -22,10 +22,10 @@ namespace tsbo::api {
 
 /// Schema tags embedded in the JSON artifacts; bump on breaking layout
 /// changes.  /2: the comm section grew bytes_exchanged plus the
-/// split-phase overlap accounting (exposed_seconds == the modeled
-/// fabric time actually spun, overlapped_seconds == the share hidden
-/// behind compute between a begin and its wait; their sum is the total
-/// modeled cost).  injected_seconds was kept as an alias of
+/// overlap accounting (exposed_seconds == the modeled fabric time
+/// actually spun, overlapped_seconds == the share hidden behind the
+/// interior SpMV rows inside split-phase halo exchanges — collectives
+/// are blocking and earn none; their sum is the total modeled cost).  injected_seconds was kept as an alias of
 /// exposed_seconds for older tooling until /8.  /3: the result section
 /// grew the pipelined-runtime lookahead counters (lookahead_hits /
 /// lookahead_misses; removed in /8).  /4: the

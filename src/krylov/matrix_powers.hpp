@@ -5,8 +5,8 @@
 // MPK — s sequential applications of (preconditioned) SpMV, each with
 // neighborhood communication — rather than a communication-avoiding
 // MPK, because CA-MPK composes poorly with general preconditioners
-// (Section III).  We implement the same, driving the split-phase
-// DistCsr::spmv so each of the s halo exchanges is overlapped with the
+// (Section III).  We implement the same, driving DistCsr::spmv, whose
+// split-phase halo exchange overlaps each of the s exchanges with the
 // interior rows of its own product (the modeled p2p latency is
 // discounted by that compute; see par/communicator.hpp).
 

@@ -27,13 +27,10 @@ void reortho_fixup(ConstMatrixView t_prev, ConstMatrixView t_diag,
 }  // namespace
 
 void bcgs_project(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-                  MatrixView r_prev, const OverlapHook& overlap) {
+                  MatrixView r_prev) {
   assert(r_prev.rows == q.cols && r_prev.cols == v.cols);
-  if (q.cols == 0) {
-    if (overlap) overlap();
-    return;
-  }
-  block_dot(ctx, q, v, r_prev, overlap);
+  if (q.cols == 0) return;
+  block_dot(ctx, q, v, r_prev);
   block_update(ctx, q, r_prev, v);
 }
 
@@ -42,15 +39,8 @@ void bcgs2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
   assert(r_diag.rows == v.cols && r_diag.cols == v.cols);
   const int breakdowns_before = ctx.cholesky_breakdowns;
 
-  // First inter-block pass; the second pass's scratch allocation rides
-  // in the reduce's overlap window (result-independent local work).
-  dense::Matrix t_prev, t_diag;
-  bcgs_project(ctx, q, v, r_prev, [&] {
-    if (q.cols > 0) {
-      t_prev = dense::Matrix(q.cols, v.cols);
-      t_diag = dense::Matrix(v.cols, v.cols);
-    }
-  });
+  // First inter-block pass.
+  bcgs_project(ctx, q, v, r_prev);
 
   // First intra-block factorization.
   switch (intra) {
@@ -73,14 +63,15 @@ void bcgs2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
   ScopedGramPrecision guard(ctx,
                             ctx.mixed_precision_gram &&
                                 ctx.cholesky_breakdowns != breakdowns_before);
+  dense::Matrix t_prev(q.cols, v.cols);
+  dense::Matrix t_diag(v.cols, v.cols);
   bcgs_project(ctx, q, v, t_prev.view());
   cholqr(ctx, v, t_diag.view());
   reortho_fixup(t_prev.view(), t_diag.view(), r_prev, r_diag);
 }
 
 void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-              MatrixView r_prev, MatrixView r_diag,
-              const OverlapHook& overlap) {
+              MatrixView r_prev, MatrixView r_diag) {
   assert(r_prev.rows == q.cols && r_prev.cols == v.cols);
   assert(r_diag.rows == v.cols && r_diag.cols == v.cols);
   const index_t nq = q.cols;
@@ -98,17 +89,9 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
     // applied.
     dense::Matrix g_lo(nq + s, s);
     dense::Matrix g_hi(nq + s, s);
-    dense::Matrix s_lo, s_hi;
-    {
-      // Pythagorean scratch allocation and caller-supplied trailing
-      // work ride in the fused-reduce overlap window.
-      PendingReduce pending =
-          fused_gram_dd_ireduce(ctx, q, v, g_hi.view(), g_lo.view());
-      s_lo = dense::Matrix(s, s);
-      s_hi = dense::Matrix(s, s);
-      if (overlap) overlap();
-      pending.wait();
-    }
+    fused_gram_dd(ctx, q, v, g_hi.view(), g_lo.view());
+    dense::Matrix s_lo(s, s);
+    dense::Matrix s_hi(s, s);
     dense::dd_round(g_hi.view().block(0, 0, nq, s),
                     g_lo.view().block(0, 0, nq, s), r_prev);
 
@@ -136,18 +119,9 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
     chol_factor_dd(ctx, s_hi.view(), s_lo.view(), "BCGS-PIP");
     dense::dd_round(s_hi.view(), s_lo.view(), r_diag);
   } else {
-    // G = [Q, V]^T V (Fig. 4a line 1): one fused reduce; caller-supplied
-    // trailing work rides in its overlap window.
+    // G = [Q, V]^T V (Fig. 4a line 1): one fused reduce.
     dense::Matrix g(nq + s, s);
-    {
-      PendingReduce pending = fused_gram_ireduce(ctx, q, v, g.view());
-      if (overlap) {
-        overlap();
-      } else {
-        pending.no_overlap_credit();  // empty window: nothing was hidden
-      }
-      pending.wait();
-    }
+    fused_gram(ctx, q, v, g.view());
     // r_prev = Q^T V (top block of G); Pythagorean update
     // S = V^T V - r_prev^T r_prev, then Cholesky (Fig. 4a line 2).
     dense::copy(g.view().block(0, 0, nq, s), r_prev);
@@ -168,18 +142,14 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
 void bcgs_pip2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
                MatrixView r_prev, MatrixView r_diag) {
   const int breakdowns_before = ctx.cholesky_breakdowns;
-  // The second pass's scratch allocation overlaps the first pass's
-  // fused-Gram reduce.
-  dense::Matrix t_prev, t_diag;
-  bcgs_pip(ctx, q, v, r_prev, r_diag, [&] {
-    t_prev = dense::Matrix(q.cols, v.cols);
-    t_diag = dense::Matrix(v.cols, v.cols);
-  });
+  bcgs_pip(ctx, q, v, r_prev, r_diag);
   // Re-orthogonalization of an O(1)-conditioned panel: plain double
   // suffices unless the first pass had to shift (see cholqr2).
   ScopedGramPrecision guard(ctx,
                             ctx.mixed_precision_gram &&
                                 ctx.cholesky_breakdowns != breakdowns_before);
+  dense::Matrix t_prev(q.cols, v.cols);
+  dense::Matrix t_diag(v.cols, v.cols);
   bcgs_pip(ctx, q, v, t_prev.view(), t_diag.view());
   reortho_fixup(t_prev.view(), t_diag.view(), r_prev, r_diag);
 }

@@ -37,10 +37,9 @@ enum class IntraKind {
 };
 
 /// Single BCGS projection (paper Fig. 2a): r_prev = Q^T V; V -= Q r_prev.
-/// One reduce.  No intra-block factorization.  `overlap` (optional)
-/// runs inside the reduce's split-phase window — see OverlapHook.
+/// One reduce.  No intra-block factorization.
 void bcgs_project(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-                  MatrixView r_prev, const OverlapHook& overlap = nullptr);
+                  MatrixView r_prev);
 
 /// BCGS2 (paper Fig. 2b): first BCGS + intra-block factorization, then
 /// a second BCGS + CholQR, with the exact triangular fix-ups
@@ -51,17 +50,12 @@ void bcgs2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
            IntraKind intra = IntraKind::kCholQR2);
 
 /// BCGS-PIP (paper Fig. 4a): single-reduce inter+intra pass via the
-/// Pythagorean fused Gram matrix.  With q == 0 this is CholQR.  The
-/// fused Gram reduce is issued split-phase; `overlap` (optional) runs
-/// while it is in flight, so trailing result-independent panel work
-/// hides behind the modeled reduce latency.  Sync count unchanged.
+/// Pythagorean fused Gram matrix.  With q == 0 this is CholQR.
 void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-              MatrixView r_prev, MatrixView r_diag,
-              const OverlapHook& overlap = nullptr);
+              MatrixView r_prev, MatrixView r_diag);
 
 /// BCGS-PIP2 (paper Fig. 4b): BCGS-PIP twice with triangular fix-ups.
-/// Two reduces.  With q == 0 this is CholQR2.  The second pass's
-/// scratch is allocated inside the first reduce's overlap window.
+/// Two reduces.  With q == 0 this is CholQR2.
 void bcgs_pip2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
                MatrixView r_prev, MatrixView r_diag);
 

@@ -8,11 +8,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <exception>
 #include <functional>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace tsbo::ortho {
 
@@ -37,13 +35,54 @@ double reduced_sumsq(OrthoContext& ctx, std::span<const double> x) {
   return s;
 }
 
+/// Global sum-reduce of a (possibly strided) view; one synchronization.
+/// A strided view (a sub-block of the solver's R matrix) is packed,
+/// reduced and unpacked: reducing the raw strided memory would corrupt
+/// the surrounding coefficients.
+void reduce_sum(OrthoContext& ctx, MatrixView c) {
+  if (ctx.comm == nullptr) return;
+  time_start(ctx, "ortho/reduce");
+  const std::size_t total =
+      static_cast<std::size_t>(c.rows) * static_cast<std::size_t>(c.cols);
+  if (c.ld == c.rows) {
+    ctx.comm->allreduce_sum(std::span<double>(c.data, total));
+  } else {
+    util::aligned_vector<double> packed(total);
+    dense::copy(c, MatrixView{packed.data(), c.rows, c.cols, c.rows});
+    ctx.comm->allreduce_sum(packed);
+    dense::copy(ConstMatrixView{packed.data(), c.rows, c.cols, c.rows}, c);
+  }
+  time_stop(ctx, "ortho/reduce");
+}
+
+/// Pair-form (double-double) counterpart; one fused dd all-reduce.
+void reduce_sum_dd(OrthoContext& ctx, MatrixView hi, MatrixView lo) {
+  if (ctx.comm == nullptr) return;
+  time_start(ctx, "ortho/reduce");
+  const std::size_t total =
+      static_cast<std::size_t>(hi.rows) * static_cast<std::size_t>(hi.cols);
+  if (hi.ld == hi.rows && lo.ld == lo.rows) {
+    ctx.comm->allreduce_sum_dd(std::span<double>(hi.data, total),
+                               std::span<double>(lo.data, total));
+  } else {
+    util::aligned_vector<double> packed_hi(total), packed_lo(total);
+    const MatrixView ph{packed_hi.data(), hi.rows, hi.cols, hi.rows};
+    const MatrixView pl{packed_lo.data(), lo.rows, lo.cols, lo.rows};
+    dense::copy(hi, ph);
+    dense::copy(lo, pl);
+    ctx.comm->allreduce_sum_dd(packed_hi, packed_lo);
+    dense::copy(ph, hi);
+    dense::copy(pl, lo);
+  }
+  time_stop(ctx, "ortho/reduce");
+}
+
 // `gram.stage1` fault seam: consulted once per fused stage-1 Gram,
 // after the local gemm and before the reduce is published (a throw
-// here leaves no pending collective of its own; siblings already in
-// flight are completed by their PendingReduce dtors during unwind).  A
-// corrupt flips the same bit of every rank's local partial at the same
-// (row, col) — the reduced Gram is perturbed by a detectable 2^64-scale
-// entry on all ranks identically.
+// here leaves no collective half-open).  A corrupt flips the same bit
+// of every rank's local partial at the same (row, col) — the reduced
+// Gram is perturbed by a detectable 2^64-scale entry on all ranks
+// identically.
 void consult_gram_fault(OrthoContext& ctx, MatrixView g) {
   if (ctx.comm == nullptr) return;
   ctx.comm->consult_fault(par::FaultSite::kGramStage1, [g](long ordinal) {
@@ -56,93 +95,8 @@ void consult_gram_fault(OrthoContext& ctx, MatrixView g) {
 
 }  // namespace
 
-PendingReduce ireduce_sum(OrthoContext& ctx, MatrixView c) {
-  PendingReduce p;
-  p.ctx_ = &ctx;
-  p.hi_ = c;
-  p.pending_ = true;
-  if (ctx.comm) {
-    time_start(ctx, "ortho/reduce");
-    if (c.ld == c.rows) {
-      p.req_ = ctx.comm->iallreduce_sum(std::span<double>(
-          c.data,
-          static_cast<std::size_t>(c.rows) * static_cast<std::size_t>(c.cols)));
-    } else {
-      // Strided view (a sub-block of the solver's global R matrix):
-      // pack, reduce, unpack at wait().  Reducing the raw strided
-      // memory would corrupt the surrounding coefficients.
-      p.packed_hi_.resize(static_cast<std::size_t>(c.rows) *
-                          static_cast<std::size_t>(c.cols));
-      for (dense::index_t j = 0; j < c.cols; ++j) {
-        std::copy_n(c.col(j), c.rows,
-                    p.packed_hi_.data() + static_cast<std::size_t>(j) * c.rows);
-      }
-      p.req_ = ctx.comm->iallreduce_sum(p.packed_hi_);
-    }
-    time_stop(ctx, "ortho/reduce");
-  }
-  return p;
-}
-
-PendingReduce ireduce_sum_dd(OrthoContext& ctx, MatrixView hi, MatrixView lo) {
-  PendingReduce p;
-  p.ctx_ = &ctx;
-  p.hi_ = hi;
-  p.lo_ = lo;
-  p.dd_ = true;
-  p.pending_ = true;
-  if (ctx.comm) {
-    time_start(ctx, "ortho/reduce");
-    const std::size_t total =
-        static_cast<std::size_t>(hi.rows) * static_cast<std::size_t>(hi.cols);
-    if (hi.ld == hi.rows && lo.ld == lo.rows) {
-      p.req_ = ctx.comm->iallreduce_sum_dd(std::span<double>(hi.data, total),
-                                           std::span<double>(lo.data, total));
-    } else {
-      p.packed_hi_.resize(total);
-      p.packed_lo_.resize(total);
-      for (dense::index_t j = 0; j < hi.cols; ++j) {
-        std::copy_n(hi.col(j), hi.rows,
-                    p.packed_hi_.data() + static_cast<std::size_t>(j) * hi.rows);
-        std::copy_n(lo.col(j), lo.rows,
-                    p.packed_lo_.data() + static_cast<std::size_t>(j) * lo.rows);
-      }
-      p.req_ = ctx.comm->iallreduce_sum_dd(p.packed_hi_, p.packed_lo_);
-    }
-    time_stop(ctx, "ortho/reduce");
-  }
-  return p;
-}
-
-void PendingReduce::wait() {
-  if (!pending_) return;
-  pending_ = false;
-  if (ctx_ == nullptr || ctx_->comm == nullptr) return;
-  // When an exception (e.g. an injected fault) unwinds through the
-  // reduce window, the interrupted call site may have left
-  // "ortho/reduce" running; completing the collective is what keeps
-  // the ranks deadlock-free — drop the timing rather than trip the
-  // phase-state check inside a destructor.
-  const bool timed = ctx_->timers != nullptr && std::uncaught_exceptions() == 0;
-  if (timed) ctx_->timers->start("ortho/reduce");
-  req_.wait();
-  if (!packed_hi_.empty()) {
-    for (dense::index_t j = 0; j < hi_.cols; ++j) {
-      std::copy_n(packed_hi_.data() + static_cast<std::size_t>(j) * hi_.rows,
-                  hi_.rows, hi_.col(j));
-    }
-  }
-  if (dd_ && !packed_lo_.empty()) {
-    for (dense::index_t j = 0; j < lo_.cols; ++j) {
-      std::copy_n(packed_lo_.data() + static_cast<std::size_t>(j) * lo_.rows,
-                  lo_.rows, lo_.col(j));
-    }
-  }
-  if (timed) ctx_->timers->stop("ortho/reduce");
-}
-
 void block_dot(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
-               MatrixView c, const OverlapHook& overlap) {
+               MatrixView c) {
   time_start(ctx, "ortho/dot");
   if (ctx.mixed_precision_gram) {
     dense::gemm_tn_dd(a, b, c);
@@ -150,13 +104,7 @@ void block_dot(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
     dense::gemm_tn(1.0, a, b, 0.0, c);
   }
   time_stop(ctx, "ortho/dot");
-  PendingReduce pending = ireduce_sum(ctx, c);
-  if (overlap) {
-    overlap();
-  } else {
-    pending.no_overlap_credit();  // empty window: nothing was hidden
-  }
-  pending.wait();
+  reduce_sum(ctx, c);
 }
 
 void block_dot_dd(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
@@ -164,13 +112,11 @@ void block_dot_dd(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
   time_start(ctx, "ortho/dot");
   dense::gemm_tn_dd(a, b, c_hi, c_lo);
   time_stop(ctx, "ortho/dot");
-  PendingReduce pending = ireduce_sum_dd(ctx, c_hi, c_lo);
-  pending.no_overlap_credit();
-  pending.wait();
+  reduce_sum_dd(ctx, c_hi, c_lo);
 }
 
-PendingReduce fused_gram_ireduce(OrthoContext& ctx, ConstMatrixView q,
-                                 ConstMatrixView v, MatrixView g) {
+void fused_gram(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
+                MatrixView g) {
   assert(g.rows == q.cols + v.cols && g.cols == v.cols);
   time_start(ctx, "ortho/dot");
   MatrixView top = g.block(0, 0, q.cols, v.cols);
@@ -183,19 +129,11 @@ PendingReduce fused_gram_ireduce(OrthoContext& ctx, ConstMatrixView q,
   dense::gemm_tn(1.0, v, v, 0.0, bottom);
   time_stop(ctx, "ortho/dot");
   consult_gram_fault(ctx, g);
-  return ireduce_sum(ctx, g);
+  reduce_sum(ctx, g);
 }
 
-void fused_gram(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
-                MatrixView g) {
-  PendingReduce pending = fused_gram_ireduce(ctx, q, v, g);
-  pending.no_overlap_credit();
-  pending.wait();
-}
-
-PendingReduce fused_gram_dd_ireduce(OrthoContext& ctx, ConstMatrixView q,
-                                    ConstMatrixView v, MatrixView g_hi,
-                                    MatrixView g_lo) {
+void fused_gram_dd(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
+                   MatrixView g_hi, MatrixView g_lo) {
   assert(g_hi.rows == q.cols + v.cols && g_hi.cols == v.cols);
   assert(g_lo.rows == g_hi.rows && g_lo.cols == g_hi.cols);
   time_start(ctx, "ortho/dot");
@@ -207,14 +145,7 @@ PendingReduce fused_gram_dd_ireduce(OrthoContext& ctx, ConstMatrixView q,
                     g_lo.block(q.cols, 0, v.cols, v.cols));
   time_stop(ctx, "ortho/dot");
   consult_gram_fault(ctx, g_hi);
-  return ireduce_sum_dd(ctx, g_hi, g_lo);
-}
-
-void fused_gram_dd(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
-                   MatrixView g_hi, MatrixView g_lo) {
-  PendingReduce pending = fused_gram_dd_ireduce(ctx, q, v, g_hi, g_lo);
-  pending.no_overlap_credit();
-  pending.wait();
+  reduce_sum_dd(ctx, g_hi, g_lo);
 }
 
 void block_update(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView c,

@@ -17,13 +17,11 @@
 #include "dense/cholesky.hpp"
 #include "dense/matrix.hpp"
 #include "par/communicator.hpp"
-#include "util/aligned.hpp"
 #include "util/timer.hpp"
 
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace tsbo::ortho {
 
@@ -117,84 +115,13 @@ class ScopedGramPrecision {
   bool saved_;
 };
 
-/// Local work a caller wants executed inside a split-phase reduce
-/// window (between the iallreduce begin and its wait), where the
-/// modeled fabric latency hides it.  Must not depend on the reduce
-/// result.  It may open NESTED communication windows (halo exchanges,
-/// further split-phase collectives up to par::kMaxInflight), but it
-/// must not wait on this reduce's own request, and every rank must
-/// issue the identical nested sequence.
-using OverlapHook = std::function<void()>;
-
-/// In-flight global reduce of a (possibly strided) matrix view, issued
-/// by the ireduce_* / fused_gram_*_ireduce entry points.  wait()
-/// completes the communication and unpacks the reduced coefficients
-/// into the view handed at issue time; the destructor waits, so an
-/// exception unwinding through an overlap window stays collective.
-/// Several PendingReduces may be outstanding per communicator (each
-/// owns one of the rank's par::kMaxInflight publication slots), with
-/// waits issued in the same order on every rank.
-class PendingReduce {
- public:
-  PendingReduce() = default;
-  PendingReduce(PendingReduce&& o) noexcept { *this = std::move(o); }
-  PendingReduce& operator=(PendingReduce&& o) noexcept {
-    if (this != &o) {
-      wait();
-      req_ = std::move(o.req_);
-      ctx_ = o.ctx_;
-      packed_hi_ = std::move(o.packed_hi_);
-      packed_lo_ = std::move(o.packed_lo_);
-      hi_ = o.hi_;
-      lo_ = o.lo_;
-      dd_ = o.dd_;
-      pending_ = o.pending_;
-      o.pending_ = false;
-    }
-    return *this;
-  }
-  ~PendingReduce() { wait(); }
-
-  void wait();
-
-  /// Forwards CommRequest::no_overlap_credit(): the blocking wrappers
-  /// (reduce-and-wait with an empty window) use it so overlapped
-  /// seconds only accrue in engineered overlap windows.
-  void no_overlap_credit() { req_.no_overlap_credit(); }
-
- private:
-  friend PendingReduce ireduce_sum(OrthoContext& ctx, MatrixView c);
-  friend PendingReduce ireduce_sum_dd(OrthoContext& ctx, MatrixView hi,
-                                      MatrixView lo);
-
-  par::CommRequest req_;
-  OrthoContext* ctx_ = nullptr;
-  // Packed staging for strided views (sub-blocks of the solver's R);
-  // heap storage keeps the published pointers stable across moves.
-  util::aligned_vector<double> packed_hi_, packed_lo_;
-  MatrixView hi_{}, lo_{};
-  bool dd_ = false;
-  bool pending_ = false;
-};
-
-/// Issues the global sum-reduce of `c` split-phase and returns the
-/// in-flight handle; local work done before wait() is credited against
-/// the modeled reduce latency.  The reduced bits are identical to the
-/// blocking reduce regardless of the overlap window.
-[[nodiscard]] PendingReduce ireduce_sum(OrthoContext& ctx, MatrixView c);
-
-/// Pair-form (double-double) counterpart; one fused dd all-reduce.
-[[nodiscard]] PendingReduce ireduce_sum_dd(OrthoContext& ctx, MatrixView hi,
-                                           MatrixView lo);
-
 /// C = A^T B followed by a global sum-reduce of C.  One synchronization.
 /// With ctx.mixed_precision_gram the local product is accumulated in
 /// double-double but rounded to double before the reduce — use
 /// block_dot_dd when the downstream consumer (a Cholesky) needs the
-/// extended precision to survive.  `overlap` (optional) runs inside
-/// the reduce window.
+/// extended precision to survive.
 void block_dot(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
-               MatrixView c, const OverlapHook& overlap = nullptr);
+               MatrixView c);
 
 /// Pair-form block dot: C = A^T B accumulated in double-double and
 /// returned unrounded as c_hi + c_lo, including across ranks (one
@@ -210,25 +137,11 @@ void block_dot_dd(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
 void fused_gram(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
                 MatrixView g);
 
-/// Split-phase fused Gram: computes the local [Q, V]^T V, issues the
-/// reduce, and returns the in-flight handle so the caller can run
-/// result-independent panel work before waiting.
-[[nodiscard]] PendingReduce fused_gram_ireduce(OrthoContext& ctx,
-                                               ConstMatrixView q,
-                                               ConstMatrixView v, MatrixView g);
-
 /// Pair-form fused Gram G = [Q, V]^T V (same layout as fused_gram) in
 /// double-double, one fused dd all-reduce.  Used by the mixed-precision
 /// BCGS-PIP path so the Pythagorean update and Cholesky stay in dd.
 void fused_gram_dd(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
                    MatrixView g_hi, MatrixView g_lo);
-
-/// Split-phase pair-form fused Gram.
-[[nodiscard]] PendingReduce fused_gram_dd_ireduce(OrthoContext& ctx,
-                                                  ConstMatrixView q,
-                                                  ConstMatrixView v,
-                                                  MatrixView g_hi,
-                                                  MatrixView g_lo);
 
 /// V -= Q * C.  Local GEMM; no communication.
 void block_update(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView c,

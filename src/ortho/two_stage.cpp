@@ -230,13 +230,11 @@ class TwoStageManager final : public BlockOrthoManager {
     MatrixView big = basis.columns(qprev, nbig);
     dense::Matrix t_prev(qprev, nbig);
     dense::Matrix t_diag(nbig, nbig);
-    // The stage-1 coefficients are fixed before stage 2 runs, so the
-    // fix-up's R-block snapshot is result-independent trailing work:
-    // it rides in the stage-2 fused-Gram reduce window.
-    dense::Matrix rbig;
-    bcgs_pip(ctx, qfinal, big, t_prev.view(), t_diag.view(), [&] {
-      rbig = dense::copy_of(r.block(qprev, qprev, nbig, nbig));
-    });
+    // Snapshot of the stage-1 diagonal block for the fix-up below
+    // (stage 2 does not touch R).
+    const dense::Matrix rbig =
+        dense::copy_of(r.block(qprev, qprev, nbig, nbig));
+    bcgs_pip(ctx, qfinal, big, t_prev.view(), t_diag.view());
 
     // R fix-up (Fig. 5 lines 18-19):
     //   R[0:qprev, big]   += T_prev * R[big, big]

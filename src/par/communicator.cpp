@@ -5,10 +5,24 @@
 
 #include <cassert>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 namespace tsbo::par {
+
+namespace {
+
+/// `comm.allreduce` corruption: flips the same bit of every rank's
+/// local contribution at the same index.
+FaultInjector::CorruptFn flip_entry(std::span<double> data) {
+  return [data](long ordinal) {
+    if (!data.empty()) {
+      FaultInjector::flip_bit(
+          data[static_cast<std::size_t>(ordinal) % data.size()]);
+    }
+  };
+}
+
+}  // namespace
 
 CommStats subtract(const CommStats& after, const CommStats& before) {
   CommStats d;
@@ -23,35 +37,11 @@ CommStats subtract(const CommStats& after, const CommStats& before) {
   return d;
 }
 
-CommRequest& CommRequest::operator=(CommRequest&& o) noexcept {
-  if (this != &o) {
-    wait();  // complete anything this handle still owns
-    comm_ = std::exchange(o.comm_, nullptr);
-    kind_ = o.kind_;
-    a_ = o.a_;
-    b_ = o.b_;
-    root_ = o.root_;
-    slot_ = o.slot_;
-    modeled_seconds_ = o.modeled_seconds_;
-    overlap_credit_ = o.overlap_credit_;
-    begin_ = o.begin_;
-  }
-  return *this;
-}
-
-void CommRequest::wait() {
-  if (comm_ == nullptr) return;
-  Communicator* c = std::exchange(comm_, nullptr);
-  c->complete(*this);
-}
-
 SpmdContext::SpmdContext(int nranks, NetworkModel model)
     : nranks_(nranks),
       model_(model),
-      slots_(static_cast<std::size_t>(nranks) * kMaxInflight, nullptr),
-      sizes_(static_cast<std::size_t>(nranks) * kMaxInflight, 0),
-      xslots_(static_cast<std::size_t>(nranks), nullptr),
-      xsizes_(static_cast<std::size_t>(nranks), 0) {
+      slots_(static_cast<std::size_t>(nranks), nullptr),
+      sizes_(static_cast<std::size_t>(nranks), 0) {
   assert(nranks >= 1);
 }
 
@@ -90,228 +80,96 @@ void Communicator::inject_with_overlap(double modeled,
   inject(split.exposed);
 }
 
-CommRequest Communicator::make_request(CommRequest::Kind kind,
-                                       std::span<double> a,
-                                       std::span<double> b, int root,
-                                       double modeled) {
-  // Deterministic first-free scan: SPMD ranks issue collectives in
-  // identical order, so every rank assigns the same ring slot to the
-  // same logical collective and complete() can read peers' slots by
-  // its own index.
-  int slot = 0;
-  while (slot < kMaxInflight && slot_busy_[slot]) ++slot;
-  assert(slot < kMaxInflight &&
-         "too many split-phase collectives in flight (kMaxInflight)");
-  slot_busy_[slot] = true;
-  ++inflight_;
-  CommRequest req;
-  req.comm_ = this;
-  req.kind_ = kind;
-  req.a_ = a;
-  req.b_ = b;
-  req.root_ = root;
-  req.slot_ = slot;
-  req.modeled_seconds_ = modeled;
-  req.begin_ = std::chrono::steady_clock::now();
-  return req;
+void Communicator::publish(std::span<const double> data) {
+  assert(!exchange_open_ && "collective issued inside a neighbor exchange");
+  ctx_.slots_[static_cast<std::size_t>(rank_)] = data.data();
+  ctx_.sizes_[static_cast<std::size_t>(rank_)] = data.size();
 }
 
-void Communicator::publish(int slot, std::span<const double> data) {
-  const std::size_t idx =
-      static_cast<std::size_t>(rank_) * kMaxInflight +
-      static_cast<std::size_t>(slot);
-  ctx_.slots_[idx] = data.data();
-  ctx_.sizes_[idx] = data.size();
+const double* Communicator::peer_slot(int peer) const {
+  return static_cast<const double*>(
+      ctx_.slots_[static_cast<std::size_t>(peer)]);
 }
 
-const double* Communicator::peer_slot(int peer, int slot) const {
-  const std::size_t idx =
-      static_cast<std::size_t>(peer) * kMaxInflight +
-      static_cast<std::size_t>(slot);
-  return static_cast<const double*>(ctx_.slots_[idx]);
-}
-
-CommRequest Communicator::iallreduce_sum(std::span<double> inout) {
-  // Fault seam, before any publication/accounting: a throw here leaves
-  // no half-open collective on any rank.  A corrupt flips the same bit
-  // of every rank's local contribution at the same index.
-  consult_fault(FaultSite::kCommAllreduce, [inout](long ordinal) {
-    if (!inout.empty()) {
-      FaultInjector::flip_bit(
-          inout[static_cast<std::size_t>(ordinal) % inout.size()]);
-    }
-  });
-  stats_.allreduces += 1;
-  stats_.bytes_allreduced += inout.size_bytes();
-  CommRequest req = make_request(
-      CommRequest::Kind::kSum, inout, {}, 0,
-      ctx_.model_.allreduce_seconds(ctx_.nranks_, inout.size_bytes()));
-  if (ctx_.nranks_ > 1) publish(req.slot_, inout);
-  return req;
-}
-
-CommRequest Communicator::iallreduce_sum_dd(std::span<double> hi,
-                                            std::span<double> lo) {
-  assert(hi.size() == lo.size());
-  const std::size_t n = hi.size();
-  consult_fault(FaultSite::kCommAllreduce, [hi](long ordinal) {
-    if (!hi.empty()) {
-      FaultInjector::flip_bit(
-          hi[static_cast<std::size_t>(ordinal) % hi.size()]);
-    }
-  });
-  stats_.allreduces += 1;
-  stats_.bytes_allreduced += hi.size_bytes() + lo.size_bytes();
-  CommRequest req =
-      make_request(CommRequest::Kind::kSumDd, hi, lo, 0,
-                   ctx_.model_.allreduce_seconds(
-                       ctx_.nranks_, hi.size_bytes() + lo.size_bytes()));
-  if (ctx_.nranks_ > 1) {
-    // Publish one packed [hi..., lo...] buffer per rank; every rank
-    // then folds the pairs in rank order with normalized dd adds at
-    // wait(), so all ranks hold the identical extended-precision sum.
-    // Each ring slot owns its staging buffer so the packed payload
-    // stays stable while sibling requests come and go.
-    std::vector<double>& st = staging_[req.slot_];
-    st.resize(2 * n);
-    std::memcpy(st.data(), hi.data(), hi.size_bytes());
-    std::memcpy(st.data() + n, lo.data(), lo.size_bytes());
-    publish(req.slot_, st);
-  }
-  return req;
-}
-
-CommRequest Communicator::ibroadcast(std::span<double> data, int root) {
-  stats_.broadcasts += 1;
-  CommRequest req = make_request(
-      CommRequest::Kind::kBcast, data, {}, root,
-      ctx_.model_.allreduce_seconds(ctx_.nranks_, data.size_bytes()));
-  if (ctx_.nranks_ > 1 && rank_ == root) publish(req.slot_, data);
-  return req;
-}
-
-void Communicator::complete(CommRequest& req) {
-  assert(inflight_ > 0 && slot_busy_[req.slot_]);
-  // Compute performed since begin is what the fabric latency hides.
-  // The wall-clock window includes exposed spins of earlier waits on
-  // purpose: the fabric progresses every pending operation while the
-  // host blocks in one wait, exactly like overlapping MPI requests.
-  const double elapsed =
-      req.overlap_credit_
-          ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          req.begin_)
-                .count()
-          : 0.0;
-  const int slot = req.slot_;
-  [[maybe_unused]] const auto slot_size = [&](int r) {
-    return ctx_.sizes_[static_cast<std::size_t>(r) * kMaxInflight +
-                       static_cast<std::size_t>(slot)];
-  };
-  switch (req.kind_) {
-    case CommRequest::Kind::kSum: {
-      std::span<double> inout = req.a_;
-      if (ctx_.nranks_ > 1) {
-        barrier();  // all ranks published
-        // Deterministic order: sum rank 0..p-1 contributions.  Waits
-        // are serialized on each rank, so one fold workspace suffices
-        // even with siblings still pending in other slots.
-        scratch_.assign(inout.size(), 0.0);
-        for (int r = 0; r < ctx_.nranks_; ++r) {
-          assert(slot_size(r) == inout.size());
-          const double* src = peer_slot(r, slot);
-          for (std::size_t i = 0; i < inout.size(); ++i) scratch_[i] += src[i];
-        }
-        barrier();  // all ranks finished reading before buffers are reused
-        std::memcpy(inout.data(), scratch_.data(), inout.size_bytes());
-      }
-      break;
-    }
-    case CommRequest::Kind::kSumDd: {
-      std::span<double> hi = req.a_;
-      std::span<double> lo = req.b_;
-      const std::size_t n = hi.size();
-      if (ctx_.nranks_ > 1) {
-        barrier();
-        scratch2_.resize(2 * n);
-        for (std::size_t i = 0; i < n; ++i) {
-          eft::dd acc;
-          for (int r = 0; r < ctx_.nranks_; ++r) {
-            assert(slot_size(r) == 2 * n);
-            const double* src = peer_slot(r, slot);
-            eft::dd_add(acc, eft::dd{src[i], src[n + i]});
-          }
-          scratch2_[i] = acc.hi;
-          scratch2_[n + i] = acc.lo;
-        }
-        barrier();  // all ranks finished reading before buffers are reused
-        std::memcpy(hi.data(), scratch2_.data(), hi.size_bytes());
-        std::memcpy(lo.data(), scratch2_.data() + n, lo.size_bytes());
-      }
-      break;
-    }
-    case CommRequest::Kind::kBcast: {
-      std::span<double> data = req.a_;
-      if (ctx_.nranks_ > 1) {
-        barrier();  // root published
-        if (rank_ != req.root_) {
-          assert(slot_size(req.root_) == data.size());
-          std::memcpy(data.data(), peer_slot(req.root_, slot),
-                      data.size_bytes());
-        }
-        barrier();
-      }
-      break;
-    }
-  }
-  slot_busy_[slot] = false;
-  --inflight_;
-  inject_with_overlap(req.modeled_seconds_, elapsed);
+std::size_t Communicator::peer_size(int peer) const {
+  return ctx_.sizes_[static_cast<std::size_t>(peer)];
 }
 
 void Communicator::allreduce_sum(std::span<double> inout) {
-  CommRequest req = iallreduce_sum(inout);
-  req.no_overlap_credit();  // no compute inside a blocking call
-  req.wait();
+  // Fault seam, before any publication/accounting: a throw here leaves
+  // no half-open collective on any rank.
+  consult_fault(FaultSite::kCommAllreduce, flip_entry(inout));
+  stats_.allreduces += 1;
+  stats_.bytes_allreduced += inout.size_bytes();
+  if (ctx_.nranks_ > 1) {
+    publish(inout);
+    barrier();  // all ranks published
+    // Deterministic order: sum rank 0..p-1 contributions.
+    scratch_.assign(inout.size(), 0.0);
+    for (int r = 0; r < ctx_.nranks_; ++r) {
+      assert(peer_size(r) == inout.size());
+      const double* src = peer_slot(r);
+      for (std::size_t i = 0; i < inout.size(); ++i) scratch_[i] += src[i];
+    }
+    barrier();  // all ranks finished reading before buffers are reused
+    std::memcpy(inout.data(), scratch_.data(), inout.size_bytes());
+  }
+  inject(ctx_.model_.allreduce_seconds(ctx_.nranks_, inout.size_bytes()));
 }
 
 void Communicator::allreduce_sum_dd(std::span<double> hi,
                                     std::span<double> lo) {
-  CommRequest req = iallreduce_sum_dd(hi, lo);
-  req.no_overlap_credit();
-  req.wait();
+  assert(hi.size() == lo.size());
+  const std::size_t n = hi.size();
+  consult_fault(FaultSite::kCommAllreduce, flip_entry(hi));
+  stats_.allreduces += 1;
+  stats_.bytes_allreduced += hi.size_bytes() + lo.size_bytes();
+  if (ctx_.nranks_ > 1) {
+    // Publish one packed [hi..., lo...] buffer per rank; every rank
+    // then folds the pairs in rank order with normalized dd adds, so
+    // all ranks hold the identical extended-precision sum.
+    staging_.resize(2 * n);
+    std::memcpy(staging_.data(), hi.data(), hi.size_bytes());
+    std::memcpy(staging_.data() + n, lo.data(), lo.size_bytes());
+    publish(staging_);
+    barrier();
+    scratch_.resize(2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      eft::dd acc;
+      for (int r = 0; r < ctx_.nranks_; ++r) {
+        assert(peer_size(r) == 2 * n);
+        const double* src = peer_slot(r);
+        eft::dd_add(acc, eft::dd{src[i], src[n + i]});
+      }
+      scratch_[i] = acc.hi;
+      scratch_[n + i] = acc.lo;
+    }
+    barrier();  // all ranks finished reading before buffers are reused
+    std::memcpy(hi.data(), scratch_.data(), hi.size_bytes());
+    std::memcpy(lo.data(), scratch_.data() + n, lo.size_bytes());
+  }
+  inject(ctx_.model_.allreduce_seconds(ctx_.nranks_,
+                                       hi.size_bytes() + lo.size_bytes()));
 }
 
 void Communicator::allreduce_max(std::span<double> inout) {
-  consult_fault(FaultSite::kCommAllreduce, [inout](long ordinal) {
-    if (!inout.empty()) {
-      FaultInjector::flip_bit(
-          inout[static_cast<std::size_t>(ordinal) % inout.size()]);
-    }
-  });
+  consult_fault(FaultSite::kCommAllreduce, flip_entry(inout));
   stats_.allreduces += 1;
   stats_.bytes_allreduced += inout.size_bytes();
   if (ctx_.nranks_ > 1) {
-    // Ticket a ring slot so this blocking collective can run while
-    // split-phase siblings are pending: same deterministic scan as
-    // make_request, released before returning.
-    int slot = 0;
-    while (slot < kMaxInflight && slot_busy_[slot]) ++slot;
-    assert(slot < kMaxInflight);
-    slot_busy_[slot] = true;
-    publish(slot, inout);
+    publish(inout);
     barrier();
     scratch_.assign(inout.size(), 0.0);
     for (std::size_t i = 0; i < inout.size(); ++i) {
-      double m = peer_slot(0, slot)[i];
+      double m = peer_slot(0)[i];
       for (int r = 1; r < ctx_.nranks_; ++r) {
-        const double v = peer_slot(r, slot)[i];
+        const double v = peer_slot(r)[i];
         m = v > m ? v : m;
       }
       scratch_[i] = m;
     }
     barrier();
     std::memcpy(inout.data(), scratch_.data(), inout.size_bytes());
-    slot_busy_[slot] = false;
   }
   inject(ctx_.model_.allreduce_seconds(ctx_.nranks_, inout.size_bytes()));
 }
@@ -327,44 +185,41 @@ double Communicator::allreduce_max_scalar(double x) {
 }
 
 void Communicator::broadcast(std::span<double> data, int root) {
-  CommRequest req = ibroadcast(data, root);
-  req.no_overlap_credit();
-  req.wait();
+  stats_.broadcasts += 1;
+  if (ctx_.nranks_ > 1) {
+    if (rank_ == root) publish(data);
+    barrier();  // root published
+    if (rank_ != root) {
+      assert(peer_size(root) == data.size());
+      std::memcpy(data.data(), peer_slot(root), data.size_bytes());
+    }
+    barrier();
+  }
+  inject(ctx_.model_.allreduce_seconds(ctx_.nranks_, data.size_bytes()));
 }
 
 std::vector<double> Communicator::gather(std::span<const double> local,
                                          int root) {
-  int slot = 0;  // ticketed like allreduce_max; nests under siblings
-  while (slot < kMaxInflight && slot_busy_[slot]) ++slot;
-  assert(slot < kMaxInflight);
-  slot_busy_[slot] = true;
-  publish(slot, local);
+  publish(local);
   barrier();
   std::vector<double> out;
   if (rank_ == root) {
     std::size_t total = 0;
-    for (int r = 0; r < ctx_.nranks_; ++r) total += ctx_.sizes_[
-        static_cast<std::size_t>(r) * kMaxInflight +
-        static_cast<std::size_t>(slot)];
+    for (int r = 0; r < ctx_.nranks_; ++r) total += peer_size(r);
     out.reserve(total);
     for (int r = 0; r < ctx_.nranks_; ++r) {
-      const double* src = peer_slot(r, slot);
-      const std::size_t sz = ctx_.sizes_[
-          static_cast<std::size_t>(r) * kMaxInflight +
-          static_cast<std::size_t>(slot)];
-      out.insert(out.end(), src, src + sz);
+      const double* src = peer_slot(r);
+      out.insert(out.end(), src, src + peer_size(r));
     }
   }
   barrier();
-  slot_busy_[slot] = false;
   return out;
 }
 
 void Communicator::exchange_begin(std::span<const double> send) {
   assert(!exchange_open_ && "one neighbor exchange at a time");
+  publish(send);
   exchange_open_ = true;
-  ctx_.xslots_[rank_] = send.data();
-  ctx_.xsizes_[rank_] = send.size();
   barrier();
   // The overlap window opens once every peer has published: compute
   // from here to exchange_end stands in for interior work behind
@@ -374,8 +229,7 @@ void Communicator::exchange_begin(std::span<const double> send) {
 
 std::span<const double> Communicator::peer_buffer(int peer) const {
   assert(peer >= 0 && peer < ctx_.nranks_);
-  return {static_cast<const double*>(ctx_.xslots_[peer]),
-          ctx_.xsizes_[peer]};
+  return {peer_slot(peer), peer_size(peer)};
 }
 
 void Communicator::exchange_end(std::span<const std::size_t> peer_recv_bytes,
@@ -390,14 +244,6 @@ void Communicator::exchange_end(std::span<const std::size_t> peer_recv_bytes,
   stats_.p2p_rounds += 1;
   stats_.bytes_exchanged += total_recv_bytes;
   inject_with_overlap(ctx_.model_.p2p_round_seconds(peer_recv_bytes), elapsed);
-}
-
-void Communicator::exchange_end(std::size_t max_recv_bytes,
-                                std::size_t total_recv_bytes) {
-  // Legacy single-size form: one message per round.  Identical cost to
-  // a one-element per-peer round, so delegate.
-  const std::size_t one[] = {max_recv_bytes};
-  exchange_end(std::span<const std::size_t>(one, 1), total_recv_bytes);
 }
 
 }  // namespace tsbo::par

@@ -59,12 +59,13 @@ struct NetworkModel {
     return t;
   }
 
-  /// Overlap accounting for the split-phase runtime: of `modeled`
-  /// fabric seconds, the share hidden behind `compute_seconds` of local
-  /// work performed between begin and wait is `overlapped`; only the
-  /// remainder is `exposed` (spun on the critical path).  This is the
-  /// standard nonblocking-collective model — latency progresses while
-  /// the host computes, and the wait pays max(0, modeled - compute).
+  /// Overlap accounting for the split-phase neighbor exchange: of
+  /// `modeled` fabric seconds, the share hidden behind
+  /// `compute_seconds` of local work performed between exchange_begin
+  /// and exchange_end is `overlapped`; only the remainder is `exposed`
+  /// (spun on the critical path).  This is the standard nonblocking
+  /// model — latency progresses while the host computes, and the
+  /// completion pays max(0, modeled - compute).
   struct OverlapSplit {
     double exposed = 0.0;
     double overlapped = 0.0;

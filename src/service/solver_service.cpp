@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -152,29 +153,35 @@ void SolverService::scheduler_loop() {
       std::unique_lock lock(mu_);
       cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and fully drained
-      if (cfg_.max_inflight_per_key == 0) {
-        batch.assign(std::make_move_iterator(queue_.begin()),
-                     std::make_move_iterator(queue_.end()));
-        queue_.clear();
-      } else {
-        // Fairness cap: take at most max_inflight_per_key jobs per
-        // operator key this round, front to back, leaving the overflow
-        // queued in place.  Relative order is preserved on both sides,
-        // and the front job is always taken, so every round makes
-        // progress.
-        std::map<std::string, std::size_t> picked;
-        std::deque<Job> overflow;
-        for (Job& j : queue_) {
-          std::size_t& count = picked[operator_cache_key(j.opts)];
-          if (count < cfg_.max_inflight_per_key) {
-            ++count;
-            batch.push_back(std::move(j));
-          } else {
-            overflow.push_back(std::move(j));
-          }
+      // Admission, front to back, leaving the overflow queued in place.
+      // Relative order is preserved on both sides, and the front job is
+      // always taken, so every round makes progress.
+      //  - Fairness cap: at most max_inflight_per_key jobs per operator
+      //    key (0 = uncapped).
+      //  - Quarantine order: at most one job per spec with
+      //    quarantine_after > 0.  Rounds are synchronous, so each such
+      //    job's quarantine check sees every earlier same-spec outcome
+      //    and the verdicts follow submission order.
+      std::map<std::string, std::size_t> picked;
+      std::set<std::string> quarantine_specs;
+      std::deque<Job> overflow;
+      for (Job& j : queue_) {
+        std::size_t* count = nullptr;
+        if (cfg_.max_inflight_per_key > 0) {
+          count = &picked[operator_cache_key(j.opts)];
         }
-        queue_ = std::move(overflow);
+        const bool take =
+            (count == nullptr || *count < cfg_.max_inflight_per_key) &&
+            (j.opts.quarantine_after <= 0 ||
+             quarantine_specs.insert(j.opts.to_string()).second);
+        if (take) {
+          if (count != nullptr) ++*count;
+          batch.push_back(std::move(j));
+        } else {
+          overflow.push_back(std::move(j));
+        }
       }
+      queue_ = std::move(overflow);
       cv_space_.notify_all();
     }
     // Whole solves as unit work items, claimed in ascending index

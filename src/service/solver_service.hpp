@@ -35,7 +35,9 @@
 // through one job-scoped FaultInjector, so one-shot injected faults do
 // not re-fire and the retry is bitwise-identical to a clean solve.  A
 // spec that fails quarantine_after times consecutively is quarantined:
-// later identical specs fail fast instead of burning pool slots.
+// later identical specs fail fast instead of burning pool slots.  Such
+// a spec dispatches at most one job per round, so its verdicts follow
+// submission order even when its jobs are submitted together.
 // After a corrupted verdict the cached matrix is re-validated against
 // its build-time checksum and the entry invalidated if mutated.  Every
 // job resolves to a terminal JobOutcome — the queue always drains.

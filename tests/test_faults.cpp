@@ -3,8 +3,8 @@
 // firing, site behavior (throw / delay / corrupt) through the real
 // solver stack, pinned trail + solution determinism at ranks x threads
 // {1,2,7}^2, cooperative cancellation (pre-cancelled tokens, deadlines
-// expiring mid-solve, unwinding through the split-phase reduce window),
-// the soft-error residual guard, and the vacuous-guard option check.
+// expiring mid-solve, unwinding out of a matrix-powers SpMV), the
+// soft-error residual guard, and the vacuous-guard option check.
 
 #include "util/fault.hpp"
 
@@ -239,10 +239,10 @@ TEST(CancelTest, DeadlineExpiresMidSolveAndGuardSkips) {
 }
 
 TEST(CancelTest, ThrowInsideSpmvUnwindsCleanlyAndRuntimeStaysUsable) {
-  // A throw at the spmv site fires inside the halo exchange window of a
-  // matrix-powers SpMV; unwinding relies on the CommRequest destructors
-  // to complete the open exchange on every rank.  No deadlock, and a
-  // clean solve runs afterwards on the same runtime.
+  // A throw at the spmv site fires on every rank after the SpMV's halo
+  // exchange has closed (DistCsr consults its fault sites after
+  // exchange_end), so unwinding leaves no half-open communication.  No
+  // deadlock, and a clean solve runs afterwards on the same runtime.
   for (const int ranks : {2, 7}) {
     api::SolverOptions opts = bounded_opts(28, ranks);
     opts.faults = "spmv.interior@7:throw";

@@ -1,8 +1,8 @@
-// Split-phase runtime end to end: compute-communication overlap
-// accounting through DistCsr, matrix_powers, the ortho managers, and
-// the s-step solver — with the paper's per-algorithm sync counts
-// (5 / 2 / 1 + s/bs) re-pinned over the split-phase paths and the
-// solver trajectory proven independent of the overlap machinery.
+// Compute-communication overlap end to end: the split-phase halo
+// exchange's accounting through DistCsr, matrix_powers and the s-step
+// solver, the paper's per-algorithm sync counts (5 / 2 / 1 + s/bs)
+// pinned over the ortho managers, and the solver trajectory proven
+// independent of the overlap accounting.
 
 #include "api/solver.hpp"
 #include "krylov/matrix_powers.hpp"
@@ -98,12 +98,11 @@ TEST(Overlap, SolveValuesIndependentOfOverlapAccounting) {
   EXPECT_EQ(comm_off.p2p_rounds, comm_on.p2p_rounds);
 }
 
-// ---- sync counts over the split-phase paths -------------------------
+// ---- sync counts over the ortho managers ----------------------------
 //
 // The paper's accounting (manager.hpp): BCGS2+CholQR2 = 5, BCGS-PIP2 =
-// 2, two-stage = 1 + s/bs global synchronizations per s steps.  The
-// split-phase refactor routes every reduce through iallreduce + wait;
-// these pins prove the restructuring did not add or merge syncs.
+// 2, two-stage = 1 + s/bs global synchronizations per s steps.  These
+// pins prove no refactor of the reduce path adds or merges syncs.
 
 struct SyncCase {
   const char* scheme;
@@ -111,9 +110,9 @@ struct SyncCase {
   double per_panel;  // all-reduces per s-step panel, steady state
 };
 
-class SplitPhaseSyncs : public ::testing::TestWithParam<SyncCase> {};
+class PaperSyncs : public ::testing::TestWithParam<SyncCase> {};
 
-TEST_P(SplitPhaseSyncs, PerPanelAllreduceCountPinned) {
+TEST_P(PaperSyncs, PerPanelAllreduceCountPinned) {
   const auto& c = GetParam();
   const auto a = sparse::laplace2d_5pt(24, 24);
   const index_t s = 5;
@@ -169,7 +168,7 @@ TEST_P(SplitPhaseSyncs, PerPanelAllreduceCountPinned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperAccounting, SplitPhaseSyncs,
+    PaperAccounting, PaperSyncs,
     ::testing::Values(SyncCase{"bcgs2", 0, 5.0},
                       SyncCase{"bcgs_pip2", 0, 2.0},
                       SyncCase{"two_stage", 60, 1.0 + 5.0 / 60.0},
@@ -182,8 +181,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- two-stage determinism -------------------------------------------
 
 TEST(TwoStage, BitIdenticalAcrossThreadsAndSyncStableAcrossRanks) {
-  // The two-stage solve with its split-phase reduce and exchange
-  // windows: solution bits identical across threads {1, 2, 7} at each
+  // The two-stage solve with its split-phase exchange windows:
+  // solution bits identical across threads {1, 2, 7} at each
   // rank count, and iteration and sync counts identical across ranks
   // {1, 2, 7} (the partitioned fold order moves only the rounding).
   const auto run = [](int ranks) {
@@ -224,46 +223,6 @@ TEST(TwoStage, BitIdenticalAcrossThreadsAndSyncStableAcrossRanks) {
     }
   }
   par::set_num_threads(0);  // restore the default thread count
-}
-
-TEST(Overlap, ManagerOverlapHooksPreserveBits) {
-  // bcgs_pip with and without an overlap hook must produce identical
-  // coefficients and panel bits: the hook window must not perturb the
-  // reduction.
-  const index_t n = 500, q0 = 10, s = 5;
-  par::spmd_run(2, [&](par::Communicator& comm) {
-    const auto nloc = static_cast<index_t>(
-        par::block_row_range(n, comm.size(), comm.rank()).size());
-    ortho::OrthoContext ctx;
-    ctx.comm = &comm;
-    util::Xoshiro256 rng(11 + comm.rank());
-    Matrix v0(nloc, q0 + s);
-    util::fill_normal(rng, v0.data());
-    Matrix q = dense::copy_of(v0.view().columns(0, q0));
-    {
-      Matrix rq(q0, q0);
-      Matrix rq_prev(0, q0);
-      ortho::bcgs_pip(ctx, q.view().columns(0, 0), q.view(), rq_prev.view(),
-                      rq.view());
-    }
-
-    const auto run = [&](bool with_hook) {
-      Matrix v = dense::copy_of(v0.view().columns(q0, s));
-      Matrix r_prev(q0, s), r_diag(s, s);
-      int hook_calls = 0;
-      ortho::bcgs_pip(ctx, q.view(), v.view(), r_prev.view(), r_diag.view(),
-                      with_hook ? ortho::OverlapHook([&] { ++hook_calls; })
-                                : ortho::OverlapHook(nullptr));
-      if (with_hook) EXPECT_EQ(hook_calls, 1);
-      return std::make_tuple(std::move(v), std::move(r_prev),
-                             std::move(r_diag));
-    };
-    auto [v1, rp1, rd1] = run(false);
-    auto [v2, rp2, rd2] = run(true);
-    EXPECT_EQ(dense::max_abs_diff(v1.view(), v2.view()), 0.0);
-    EXPECT_EQ(dense::max_abs_diff(rp1.view(), rp2.view()), 0.0);
-    EXPECT_EQ(dense::max_abs_diff(rd1.view(), rd2.view()), 0.0);
-  });
 }
 
 }  // namespace

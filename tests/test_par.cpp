@@ -3,6 +3,7 @@
 #include "par/config.hpp"
 #include "par/spmd.hpp"
 #include "par/thread_pool.hpp"
+#include "util/eft.hpp"
 #include "util/timer.hpp"
 
 #include <gtest/gtest.h>
@@ -143,7 +144,8 @@ TEST_P(SpmdRanks, ExchangePublishesPeerBuffers) {
       const auto buf = comm.peer_buffer(peer);
       good = good && buf.size() == 1 && buf[0] == 100.0 + peer;
     }
-    comm.exchange_end(sizeof(double));
+    const std::size_t bytes[] = {sizeof(double)};
+    comm.exchange_end(bytes, sizeof(double));
     ok[static_cast<std::size_t>(comm.rank())] = good ? 1.0 : 0.0;
   });
   for (const double v : ok) EXPECT_DOUBLE_EQ(v, 1.0);
@@ -242,128 +244,64 @@ TEST(Spmd, StatsSubtractGivesWindow) {
   EXPECT_DOUBLE_EQ(d.overlapped_seconds, 0.5);
 }
 
-// ---- split-phase collectives ----------------------------------------
+// ---- blocking collectives and the split-phase exchange --------------
 
-TEST_P(SpmdRanks, IallreduceSumMatchesBlockingBitwise) {
+TEST_P(SpmdRanks, AllreduceSumDdIsTheRankOrderDdFold) {
+  // Every rank must hold the bits of a serial eft::dd_add fold of the
+  // ranks' pairs in rank order 0..p-1.  The inputs are deliberately
+  // not normalized (|lo| > ulp(hi)/2), so a fold that skipped the
+  // renormalization or ran in another order would show in the bits.
   const int p = GetParam();
-  std::vector<std::vector<double>> blocking(static_cast<std::size_t>(p));
-  std::vector<std::vector<double>> split(static_cast<std::size_t>(p));
+  const auto pair_of = [](int r) {
+    return std::vector<double>{1.0 + r, 1e-30 * r, -2.5, 0.1 * r,
+                               0.75 * r, -1.0, 3e-17, 1e-18 * r};
+  };
+  constexpr std::size_t n = 4;
+  std::vector<double> expect(2 * n);
+  if (p == 1) {
+    expect = pair_of(0);  // one rank: the pair comes back untouched
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      eft::dd acc;
+      for (int r = 0; r < p; ++r) {
+        const std::vector<double> v = pair_of(r);
+        eft::dd_add(acc, eft::dd{v[i], v[n + i]});
+      }
+      expect[i] = acc.hi;
+      expect[n + i] = acc.lo;
+    }
+  }
+  std::vector<std::vector<double>> got(static_cast<std::size_t>(p));
   par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<double> v1 = {0.1 * r, -3.0 * r, 7.5, r * r};
-    std::vector<double> v2 = v1;
-    comm.allreduce_sum(v1);
-    auto req = comm.iallreduce_sum(v2);
-    // Local compute inside the overlap window must not perturb bits.
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-    req.wait();
-    blocking[static_cast<std::size_t>(comm.rank())] = v1;
-    split[static_cast<std::size_t>(comm.rank())] = v2;
+    const std::vector<double> v = pair_of(comm.rank());
+    std::vector<double> hi(v.begin(), v.begin() + n);
+    std::vector<double> lo(v.begin() + n, v.end());
+    comm.allreduce_sum_dd(hi, lo);
+    hi.insert(hi.end(), lo.begin(), lo.end());
+    got[static_cast<std::size_t>(comm.rank())] = hi;
   });
   for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(blocking[static_cast<std::size_t>(r)],
-              split[static_cast<std::size_t>(r)]);
+    EXPECT_EQ(got[static_cast<std::size_t>(r)], expect) << "rank " << r;
   }
 }
 
-TEST_P(SpmdRanks, IallreduceSumDdMatchesBlockingBitwise) {
-  const int p = GetParam();
-  std::vector<std::vector<double>> blocking(static_cast<std::size_t>(p));
-  std::vector<std::vector<double>> split(static_cast<std::size_t>(p));
-  par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<double> hi1 = {1.0 + r, 1e-30 * r, -2.5};
-    std::vector<double> lo1 = {1e-18 * r, 3e-40, 0.0};
-    std::vector<double> hi2 = hi1, lo2 = lo1;
-    comm.allreduce_sum_dd(hi1, lo1);
-    auto req = comm.iallreduce_sum_dd(hi2, lo2);
-    req.wait();
-    std::vector<double> b = hi1;
-    b.insert(b.end(), lo1.begin(), lo1.end());
-    std::vector<double> s = hi2;
-    s.insert(s.end(), lo2.begin(), lo2.end());
-    blocking[static_cast<std::size_t>(comm.rank())] = b;
-    split[static_cast<std::size_t>(comm.rank())] = s;
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(blocking[static_cast<std::size_t>(r)],
-              split[static_cast<std::size_t>(r)]);
-  }
-}
-
-TEST_P(SpmdRanks, IbroadcastDeliversFromEveryRoot) {
-  const int p = GetParam();
-  for (int root = 0; root < p; ++root) {
-    std::vector<double> seen(static_cast<std::size_t>(p));
-    par::spmd_run(p, [&](par::Communicator& comm) {
-      std::vector<double> v = {comm.rank() == root ? 19.25 : -1.0};
-      auto req = comm.ibroadcast(v, root);
-      req.wait();
-      seen[static_cast<std::size_t>(comm.rank())] = v[0];
-    });
-    for (const double v : seen) EXPECT_DOUBLE_EQ(v, 19.25);
-  }
-}
-
-TEST(CommRequest, EmptyAndCompletedWaitAreNoOps) {
-  par::CommRequest empty;
-  EXPECT_FALSE(empty.active());
-  empty.wait();  // no-op
-  par::spmd_run(2, [&](par::Communicator& comm) {
-    double v = 1.0;
-    auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-    EXPECT_TRUE(req.active());
-    req.wait();
-    EXPECT_FALSE(req.active());
-    req.wait();  // second wait is a no-op
-    EXPECT_DOUBLE_EQ(v, 2.0);
-    // Move transfers ownership; the moved-from handle is inert.
-    auto req2 = comm.iallreduce_sum(std::span<double>(&v, 1));
-    par::CommRequest req3 = std::move(req2);
-    EXPECT_FALSE(req2.active());
-    EXPECT_TRUE(req3.active());
-    req3.wait();
-  });
-}
-
-TEST(CommRequest, DestructorCompletesOutstandingRequest) {
-  // Dropping an active request must keep the ranks collective (the
-  // destructor waits) and still deliver the reduced values.
-  std::vector<double> out(3, 0.0);
-  par::spmd_run(3, [&](par::Communicator& comm) {
-    double v = 1.0;
-    {
-      auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-    }  // destructor waits here
-    out[static_cast<std::size_t>(comm.rank())] = v;
-  });
-  for (const double v : out) EXPECT_DOUBLE_EQ(v, 3.0);
-}
-
-TEST(CommRequest, OverlapWindowDiscountsModeledLatency) {
-  // With compute between begin and wait that exceeds the modeled
-  // allreduce cost, (almost) the whole latency must be accounted as
-  // overlapped rather than injected.
+TEST(Spmd, BlockingAllreduceChargesFullModeledCostAsExposed) {
+  // A blocking collective has no overlap window: its whole modeled
+  // fabric cost is spun on the critical path.
   const auto model = par::NetworkModel::cluster();
   const double modeled = model.allreduce_seconds(4, 8);
   ASSERT_GT(modeled, 0.0);
   par::spmd_run(4, model, [&](par::Communicator& comm) {
     comm.reset_stats();
     double v = comm.rank();
-    auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-    util::spin_wait(4.0 * modeled);  // "interior work"
-    req.wait();
-    EXPECT_NEAR(comm.stats().overlapped_seconds, modeled, 1e-12);
-    EXPECT_DOUBLE_EQ(comm.stats().injected_seconds, 0.0);
-    // Blocking calls take no overlap credit: full cost is exposed.
     comm.allreduce_sum(std::span<double>(&v, 1));
+    EXPECT_DOUBLE_EQ(v, 6.0);
     EXPECT_NEAR(comm.stats().injected_seconds, modeled, 1e-12);
-    EXPECT_NEAR(comm.stats().overlapped_seconds, modeled, 1e-12);
+    EXPECT_DOUBLE_EQ(comm.stats().overlapped_seconds, 0.0);
   });
 }
 
-TEST(CommRequest, ExchangeWindowDiscountsP2pLatency) {
+TEST(Spmd, ExchangeWindowDiscountsP2pLatency) {
   const auto model = par::NetworkModel::cluster();
   const double modeled = model.p2p_seconds(64);
   par::spmd_run(2, model, [&](par::Communicator& comm) {
@@ -373,128 +311,16 @@ TEST(CommRequest, ExchangeWindowDiscountsP2pLatency) {
     util::spin_wait(4.0 * modeled);  // interior rows
     const auto buf = comm.peer_buffer(1 - comm.rank());
     EXPECT_DOUBLE_EQ(buf[0], 1.0 * (1 - comm.rank()));
-    comm.exchange_end(64, 64);
+    const std::size_t bytes[] = {64};
+    comm.exchange_end(bytes, 64);
     EXPECT_EQ(comm.stats().bytes_exchanged, 64u);
     EXPECT_NEAR(comm.stats().overlapped_seconds, modeled, 1e-12);
     EXPECT_DOUBLE_EQ(comm.stats().injected_seconds, 0.0);
   });
 }
 
-// ---- multi-request split-phase coverage -----------------------------
-
-TEST_P(SpmdRanks, MultipleRequestsInFlightMatchBlockingOutOfOrder) {
-  // Several collectives of different kinds in flight at once; waits in
-  // an order different from issue order (but identical on every rank).
-  const int p = GetParam();
-  par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<double> a = {1.0 + r, -r}, ab = a;
-    std::vector<double> b = {0.5 * r, r * r, 3.0}, bb = b;
-    std::vector<double> hi = {1.0 + r, -2.5}, lo = {1e-18 * r, 3e-40};
-    std::vector<double> hib = hi, lob = lo;
-    std::vector<double> c = {comm.rank() == 0 ? 42.0 : -1.0}, cb = c;
-    comm.allreduce_sum(ab);
-    comm.allreduce_sum(bb);
-    comm.allreduce_sum_dd(hib, lob);
-    comm.broadcast(cb, 0);
-
-    auto ra = comm.iallreduce_sum(a);
-    auto rb = comm.iallreduce_sum(b);
-    auto rd = comm.iallreduce_sum_dd(hi, lo);
-    auto rc = comm.ibroadcast(c, 0);
-    rb.wait();
-    rd.wait();
-    ra.wait();
-    rc.wait();
-    EXPECT_EQ(a, ab);
-    EXPECT_EQ(b, bb);
-    EXPECT_EQ(hi, hib);
-    EXPECT_EQ(lo, lob);
-    EXPECT_EQ(c, cb);
-  });
-}
-
-TEST_P(SpmdRanks, RequestRingFillsToCapAndDrainsReversed) {
-  // kMaxInflight simultaneous reduces, waited newest-first: slot reuse
-  // and out-of-order completion must not mix payloads up.
-  const int p = GetParam();
-  par::spmd_run(p, [&](par::Communicator& comm) {
-    const double r = comm.rank();
-    std::vector<std::vector<double>> v(par::kMaxInflight);
-    std::vector<par::CommRequest> reqs;
-    for (int k = 0; k < par::kMaxInflight; ++k) {
-      v[static_cast<std::size_t>(k)] = {k + r, 100.0 * k - r};
-      reqs.push_back(comm.iallreduce_sum(v[static_cast<std::size_t>(k)]));
-    }
-    for (int k = par::kMaxInflight - 1; k >= 0; --k) {
-      reqs[static_cast<std::size_t>(k)].wait();
-    }
-    const double rsum = p * (p - 1) / 2.0;  // sum of ranks
-    for (int k = 0; k < par::kMaxInflight; ++k) {
-      EXPECT_DOUBLE_EQ(v[static_cast<std::size_t>(k)][0], p * k + rsum);
-      EXPECT_DOUBLE_EQ(v[static_cast<std::size_t>(k)][1], 100.0 * k * p - rsum);
-    }
-  });
-}
-
-TEST(CommRequest, DestructorCompletesWithPendingSiblings) {
-  // Dropping one active request while siblings are still in flight must
-  // complete only the dropped one; the siblings stay valid.
-  std::vector<double> out(3 * 3, 0.0);
-  par::spmd_run(3, [&](par::Communicator& comm) {
-    double x = 1.0, y = 10.0 + comm.rank(), z = 100.0;
-    auto rx = comm.iallreduce_sum(std::span<double>(&x, 1));
-    auto rz = comm.iallreduce_sum(std::span<double>(&z, 1));
-    {
-      auto ry = comm.iallreduce_sum(std::span<double>(&y, 1));
-    }  // destructor waits on ry with rx/rz still pending
-    rx.wait();
-    rz.wait();
-    const auto o = static_cast<std::size_t>(3 * comm.rank());
-    out[o] = x;
-    out[o + 1] = y;
-    out[o + 2] = z;
-  });
-  for (int r = 0; r < 3; ++r) {
-    const auto o = static_cast<std::size_t>(3 * r);
-    EXPECT_DOUBLE_EQ(out[o], 3.0);
-    EXPECT_DOUBLE_EQ(out[o + 1], 33.0);  // 10+11+12
-    EXPECT_DOUBLE_EQ(out[o + 2], 300.0);
-  }
-}
-
-TEST(CommRequest, NestedExchangeInsideReduceWindowCreditsBothWindows) {
-  // A halo exchange nested inside a pending reduce window (the
-  // pipelined SpMV-under-reduce pattern): one compute stretch spanning
-  // both windows earns each its own full overlap credit.
-  const auto model = par::NetworkModel::cluster();
-  const double modeled_ar = model.allreduce_seconds(2, 8);
-  const double modeled_x = model.p2p_seconds(64);
-  ASSERT_GT(modeled_ar, 0.0);
-  ASSERT_GT(modeled_x, 0.0);
-  par::spmd_run(2, model, [&](par::Communicator& comm) {
-    comm.reset_stats();
-    double v = 1.0 + comm.rank();
-    auto req = comm.iallreduce_sum(std::span<double>(&v, 1));
-
-    std::vector<double> mine(8, 1.0 * comm.rank());
-    comm.exchange_begin(mine);
-    util::spin_wait(4.0 * (modeled_ar + modeled_x));  // interior work
-    const auto buf = comm.peer_buffer(1 - comm.rank());
-    EXPECT_DOUBLE_EQ(buf[0], 1.0 * (1 - comm.rank()));
-    comm.exchange_end(64, 64);
-
-    req.wait();
-    EXPECT_DOUBLE_EQ(v, 3.0);
-    EXPECT_NEAR(comm.stats().overlapped_seconds, modeled_ar + modeled_x,
-                1e-12);
-    EXPECT_DOUBLE_EQ(comm.stats().injected_seconds, 0.0);
-  });
-}
-
 TEST(Spmd, PerPeerExchangeEndChargesPerPeerRound) {
-  // The per-peer exchange_end overload models one send per peer on a
-  // single injection port; exposed + overlapped must equal that round
+  // exchange_end models one send per peer on a single injection port; exposed + overlapped must equal that round
   // cost exactly.
   const auto model = par::NetworkModel::cluster();
   const std::size_t bytes[] = {64, 128};

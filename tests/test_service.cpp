@@ -321,6 +321,33 @@ TEST(Service, QuarantineAfterConsecutiveFailures) {
   EXPECT_EQ(svc.wait(svc.submit(good)).outcome, service::JobOutcome::kOk);
 }
 
+TEST(Service, QuarantineFollowsSubmissionOrderWhenSubmittedTogether) {
+  // Four doomed jobs of one spec enter the queue together, so they
+  // would share a dispatch round.  On a multi-lane pool all four would
+  // pass the quarantine check before any failure was recorded; the
+  // scheduler must dispatch them one per round instead.
+  par::set_num_threads(4);
+  api::SolverOptions bad = bounded_opts(24, 2);
+  bad.faults =
+      "comm.allreduce@2:throw;comm.allreduce@2:throw;comm.allreduce@2:throw";
+  bad.retries = 2;
+  bad.quarantine_after = 2;
+
+  std::vector<service::JobOutcome> outcomes;
+  {
+    service::SolverService svc;
+    const std::vector<std::uint64_t> ids =
+        svc.submit_batch(std::vector<api::SolverOptions>(4, bad));
+    for (const std::uint64_t id : ids) outcomes.push_back(svc.wait(id).outcome);
+  }
+  par::set_num_threads(0);
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_EQ(outcomes[0], service::JobOutcome::kFailed);
+  EXPECT_EQ(outcomes[1], service::JobOutcome::kFailed);
+  EXPECT_EQ(outcomes[2], service::JobOutcome::kQuarantined);
+  EXPECT_EQ(outcomes[3], service::JobOutcome::kQuarantined);
+}
+
 TEST(Service, CancelReachesQueuedAndRunningJobs) {
   // Job A holds the scheduler's first dispatch round long enough for B
   // to be submitted and cancelled while still queued: B then resolves
