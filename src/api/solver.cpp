@@ -243,7 +243,7 @@ SolveReport Solver::solve() {
 
   par::spmd_run(opts_.ranks, opts_.network_model(),
                 [&](par::Communicator& comm) {
-    // Fault seam first: every instrumented site below (DistCsr::spmv,
+    // Fault seam first: every instrumented site below (DistCsr::spmm,
     // the ortho Gram, the collectives themselves) consults through
     // this rank's communicator.
     comm.set_fault_injector(injector);

@@ -85,9 +85,9 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
 
     bool inner_converged = false;
     for (index_t k = 0; k < cfg.m && res.iters < cfg.max_iters; ++k) {
-      std::span<const double> qk(basis.col(k), nloc);
       std::span<double> w(basis.col(k + 1), nloc);
-      op.apply(comm, qk, w, &res.timers);
+      op.apply(comm, basis.view().columns(k, 1), basis.view().columns(k + 1, 1),
+               &res.timers);
 
       std::span<double> hk(h.data(), static_cast<std::size_t>(k) + 2);
       if (cfg.ortho == GmresConfig::Ortho::kCgs2) {
@@ -119,7 +119,9 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
       res.timers.start("ortho/small");
       dense::gemv(1.0, basis.view().columns(0, used), y, 0.0, z);
       res.timers.stop("ortho/small");
-      op.apply_minv(z, tmp, &res.timers);
+      const auto rows = static_cast<index_t>(nloc);
+      op.apply_minv(dense::ConstMatrixView{z.data(), rows, 1, rows},
+                    dense::MatrixView{tmp.data(), rows, 1, rows}, &res.timers);
       dense::axpy(1.0, tmp, x);
     }
     res.restarts += 1;

@@ -1,76 +1,35 @@
 #include "krylov/matrix_powers.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace tsbo::krylov {
 
-void PrecOperator::apply(par::Communicator& comm, std::span<const double> x,
-                         std::span<double> y, util::PhaseTimers* timers) const {
-  if (m_ != nullptr) {
-    if (timers) timers->start("precond");
-    m_->apply(x, tmp_);
-    if (timers) timers->stop("precond");
-    a_.spmv(comm, tmp_, y, timers);
-  } else {
-    a_.spmv(comm, x, y, timers);
-  }
-}
-
-void PrecOperator::apply_block(par::Communicator& comm,
-                               dense::ConstMatrixView x, dense::MatrixView y,
-                               util::PhaseTimers* timers) const {
-  const auto nloc = static_cast<std::size_t>(x.rows);
-  if (x.cols == 1) {
-    apply(comm, std::span<const double>(x.col(0), nloc),
-          std::span<double>(y.col(0), nloc), timers);
-    return;
-  }
-  if (m_ != nullptr) {
-    tmp_multi_.resize(nloc * static_cast<std::size_t>(x.cols));
-    dense::MatrixView mx{tmp_multi_.data(), x.rows, x.cols, x.rows};
-    if (timers) timers->start("precond");
-    m_->apply_multi(nloc, static_cast<std::size_t>(x.cols), x.data,
-                    static_cast<std::size_t>(x.ld), mx.data,
-                    static_cast<std::size_t>(mx.ld));
-    if (timers) timers->stop("precond");
-    a_.spmm(comm, mx, y, timers);
-  } else {
+void PrecOperator::apply(par::Communicator& comm, dense::ConstMatrixView x,
+                         dense::MatrixView y, util::PhaseTimers* timers) const {
+  if (m_ == nullptr) {
     a_.spmm(comm, x, y, timers);
-  }
-}
-
-void PrecOperator::apply_minv(std::span<const double> x, std::span<double> y,
-                              util::PhaseTimers* timers) const {
-  if (m_ != nullptr) {
-    if (timers) timers->start("precond");
-    m_->apply(x, y);
-    if (timers) timers->stop("precond");
-  } else {
-    std::copy(x.begin(), x.end(), y.begin());
-  }
-}
-
-void PrecOperator::apply_minv_multi(dense::ConstMatrixView x,
-                                    dense::MatrixView y,
-                                    util::PhaseTimers* timers) const {
-  const auto nloc = static_cast<std::size_t>(x.rows);
-  if (x.cols == 1) {
-    apply_minv(std::span<const double>(x.col(0), nloc),
-               std::span<double>(y.col(0), nloc), timers);
     return;
   }
-  if (m_ != nullptr) {
-    if (timers) timers->start("precond");
-    m_->apply_multi(nloc, static_cast<std::size_t>(x.cols), x.data,
-                    static_cast<std::size_t>(x.ld), y.data,
-                    static_cast<std::size_t>(y.ld));
-    if (timers) timers->stop("precond");
-  } else {
-    for (index_t t = 0; t < x.cols; ++t) {
-      std::copy(x.col(t), x.col(t) + nloc, y.col(t));
-    }
+  const auto need =
+      static_cast<std::size_t>(x.rows) * static_cast<std::size_t>(x.cols);
+  if (tmp_.size() < need) tmp_.resize(need);
+  const dense::MatrixView mx{tmp_.data(), x.rows, x.cols, x.rows};
+  apply_minv(x, mx, timers);
+  a_.spmm(comm, mx, y, timers);
+}
+
+void PrecOperator::apply_minv(dense::ConstMatrixView x, dense::MatrixView y,
+                              util::PhaseTimers* timers) const {
+  if (m_ == nullptr) {
+    dense::copy(x, y);
+    return;
   }
+  if (timers) timers->start("precond");
+  m_->apply_multi(static_cast<std::size_t>(x.rows),
+                  static_cast<std::size_t>(x.cols), x.data,
+                  static_cast<std::size_t>(x.ld), y.data,
+                  static_cast<std::size_t>(y.ld));
+  if (timers) timers->stop("precond");
 }
 
 void matrix_powers(par::Communicator& comm, const PrecOperator& op,
@@ -88,7 +47,7 @@ void matrix_powers(par::Communicator& comm, const PrecOperator& op,
 
     dense::ConstMatrixView x = basis_cols.columns(in_block * b, b);
     dense::MatrixView v = basis_cols.columns(out_block * b, b);
-    op.apply_block(comm, x, v, timers);
+    op.apply(comm, x, v, timers);
 
     if (st.theta != 0.0 || st.sigma != 0.0 || st.gamma != 1.0) {
       const double inv_gamma = 1.0 / st.gamma;

@@ -5,7 +5,7 @@
 // MPK — s sequential applications of (preconditioned) SpMV, each with
 // neighborhood communication — rather than a communication-avoiding
 // MPK, because CA-MPK composes poorly with general preconditioners
-// (Section III).  We implement the same, driving DistCsr::spmv, whose
+// (Section III).  We implement the same, driving DistCsr::spmm, whose
 // split-phase halo exchange overlaps each of the s exchanges with the
 // interior rows of its own product (the modeled p2p latency is
 // discounted by that compute; see par/communicator.hpp).
@@ -22,38 +22,29 @@ namespace tsbo::krylov {
 class PrecOperator {
  public:
   PrecOperator(const sparse::DistCsr& a, const precond::Preconditioner* m)
-      : a_(a), m_(m), tmp_(static_cast<std::size_t>(a.n_local())) {}
+      : a_(a), m_(m) {}
 
   [[nodiscard]] const sparse::DistCsr& matrix() const { return a_; }
   [[nodiscard]] const precond::Preconditioner* preconditioner() const {
     return m_;
   }
 
-  void apply(par::Communicator& comm, std::span<const double> x,
-             std::span<double> y, util::PhaseTimers* timers) const;
-
-  /// Multi-column operator apply Y = A M^{-1} X: one fused
-  /// preconditioner sweep plus ONE halo exchange for all b columns
-  /// (DistCsr::spmm).  Column-major rank-local views.  One column runs
-  /// apply() itself, so width-1 callers get the single-vector bits.
-  void apply_block(par::Communicator& comm, dense::ConstMatrixView x,
-                   dense::MatrixView y, util::PhaseTimers* timers) const;
+  /// Y = A M^{-1} X on column-major rank-local views of any width:
+  /// apply_minv() then ONE halo exchange for all columns
+  /// (DistCsr::spmm).
+  void apply(par::Communicator& comm, dense::ConstMatrixView x,
+             dense::MatrixView y, util::PhaseTimers* timers) const;
 
   /// Applies only M^{-1} (for recovering x from the preconditioned
-  /// correction).  Identity when no preconditioner.
-  void apply_minv(std::span<const double> x, std::span<double> y,
+  /// correction) through Preconditioner::apply_multi; a copy when no
+  /// preconditioner is attached.
+  void apply_minv(dense::ConstMatrixView x, dense::MatrixView y,
                   util::PhaseTimers* timers) const;
-
-  /// Multi-column M^{-1} apply (identity copy when no preconditioner);
-  /// one column runs apply_minv().
-  void apply_minv_multi(dense::ConstMatrixView x, dense::MatrixView y,
-                        util::PhaseTimers* timers) const;
 
  private:
   const sparse::DistCsr& a_;
   const precond::Preconditioner* m_;
-  mutable util::aligned_vector<double> tmp_;
-  mutable util::aligned_vector<double> tmp_multi_;  ///< nloc x b scratch
+  mutable util::aligned_vector<double> tmp_;  ///< M^{-1} X, grown lazily
 };
 
 /// Runs MPK over a block of b columns: fills basis BLOCK columns
@@ -61,9 +52,8 @@ class PrecOperator {
 /// recurrence v_{k+1} = (Op x_k - theta_k x_k - sigma_k v_{k-1}) /
 /// gamma_k applied blockwise, where the step index is counted in blocks
 /// (block j is generated with basis.step(j - 1)).  Each of the s steps
-/// costs one operator application; at b == 1 that is the single-vector
-/// apply, wider blocks share one fused preconditioner sweep and ONE
-/// halo exchange (PrecOperator::apply_block).
+/// costs one operator application (PrecOperator::apply): one
+/// preconditioner pass and ONE halo exchange for all b columns.
 void matrix_powers(par::Communicator& comm, const PrecOperator& op,
                    const KrylovBasis& basis, dense::MatrixView basis_cols,
                    index_t first_out, index_t s, util::PhaseTimers* timers,

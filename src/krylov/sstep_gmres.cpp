@@ -150,7 +150,6 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
   const bool ap = cfg.autopilot.enabled;
   octx.policy = ap ? ortho::BreakdownPolicy::kThrow : cfg.policy;
   octx.mixed_precision_gram = cfg.mixed_precision_gram;
-  octx.inject_breakdown = cfg.inject_chol_breakdown;
 
   PrecOperator op(a, m_prec);
   // Scale the monomial/Newton recurrences by an operator-norm estimate
@@ -160,21 +159,19 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
   // (Chebyshev's own gamma already normalizes.)
   double gamma_scale = 0.0;
   if (cfg.basis != BasisKind::kChebyshev) {
-    const sparse::CsrMatrix& local = a.local_matrix();
     double est = 0.0;
-    for (sparse::ord i = 0; i < local.rows; ++i) {
+    a.for_each_local_row([&](sparse::ord i, std::span<const sparse::ord> cols,
+                             std::span<const double> vals) {
       double row = 0.0;
       double diag = 1.0;
-      for (sparse::offset kk = local.row_ptr[i]; kk < local.row_ptr[i + 1];
-           ++kk) {
-        const auto e = static_cast<std::size_t>(kk);
-        row += std::abs(local.values[e]);
-        if (local.col_idx[e] == i) diag = std::abs(local.values[e]);
+      for (std::size_t e = 0; e < cols.size(); ++e) {
+        row += std::abs(vals[e]);
+        if (cols[e] == i) diag = std::abs(vals[e]);
       }
       // With a (roughly diagonal-normalizing) preconditioner the
       // operator is closer to D^{-1}A; estimate accordingly.
       est = std::max(est, m_prec != nullptr && diag > 0.0 ? row / diag : row);
-    }
+    });
     gamma_scale = comm.allreduce_max_scalar(est);
   }
   const auto build_basis = [&](index_t s) {
@@ -419,7 +416,7 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
       res.timers.start("ortho/small");
       ls.combine(basis_v, z);
       res.timers.stop("ortho/small");
-      op.apply_minv_multi(z, tmp.block(0, 0, rows, bw), &res.timers);
+      op.apply_minv(z, tmp.block(0, 0, rows, bw), &res.timers);
       for (index_t t = 0; t < bw; ++t) {
         dense::axpy(1.0, std::span<const double>(tmp.col(t), nloc),
                     std::span<double>(x.col(active[static_cast<std::size_t>(t)]),

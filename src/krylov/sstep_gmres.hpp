@@ -19,12 +19,14 @@
 // panel is s*b flat columns wide.  The ortho machinery, the fused Gram
 // reduces and the stage-2 flush run unchanged on the wider panels, and
 // the synchronization count per outer iteration does not depend on b.
-// Every operator application feeds all b columns through ONE fused
-// preconditioner sweep and ONE halo exchange (DistCsr::spmm).
+// Every operator application feeds all b columns through ONE
+// preconditioner pass and ONE halo exchange (PrecOperator::apply over
+// DistCsr::spmm).
 //
 // The width-1 kernels are chosen by the layers below, keyed on the
-// width they observe: DistCsr::spmm and PrecOperator::apply_block /
-// apply_minv_multi run the single-vector spmv / apply at one column;
+// width they observe: DistCsr::spmm runs the gather-vectorized
+// single-vector row kernel at one column, and
+// Preconditioner::apply_multi's default is one apply() per column;
 // dense::BlockHessenbergLeastSquares runs Givens at b = 1 and
 // Householder-on-H above; ortho::residual_gram / seed_block take the
 // sumsq + all-reduce norm and the r / gamma seed at one column (no Gram
@@ -107,12 +109,6 @@ struct SStepGmresConfig {
     int patience = 2;   ///< healthy cycles required before relaxing
   };
   Autopilot autopilot;
-
-  /// Deterministic fault-injection seam, forwarded to
-  /// OrthoContext::inject_breakdown (tests only): called once per Gram
-  /// Cholesky with the global attempt ordinal; return true to force
-  /// that factorization to report indefinite.
-  std::function<bool(long)> inject_chol_breakdown;
 
   /// Optional per-restart observer (see solver.hpp).
   ProgressCallback on_restart;

@@ -235,12 +235,20 @@ void record_gram_kappa(OrthoContext& ctx, ConstMatrixView r) {
   ctx.gram_kappa_peak = std::max(ctx.gram_kappa_peak, est);
 }
 
-/// Consults the fault-injection seam.  Counts the attempt even with no
-/// injector installed so the ordinal always means "global Gram Cholesky
-/// index", independent of whether a test is listening.
-bool consume_injected_breakdown(OrthoContext& ctx) {
-  const long ordinal = ctx.chol_attempts++;
-  return ctx.inject_breakdown && ctx.inject_breakdown(ordinal);
+/// `gram.chol` fault seam: consulted once per Gram Cholesky, before
+/// any factor or shift attempt.  Gram factorizations run on replicated
+/// post-reduce data in a collectively-ordered sequence, so the ordinal
+/// is identical on every rank at any thread count.  A corrupt forces
+/// the factorization to report indefinite — the breakdown policy then
+/// shifts or throws exactly as for a natural breakdown; throw and delay
+/// act as at every other site.
+bool consult_chol_fault(OrthoContext& ctx) {
+  bool forced = false;
+  if (ctx.comm != nullptr) {
+    ctx.comm->consult_fault(par::FaultSite::kGramChol,
+                            [&forced](long) { forced = true; });
+  }
+  return forced;
 }
 
 }  // namespace
@@ -248,7 +256,7 @@ bool consume_injected_breakdown(OrthoContext& ctx) {
 void chol_factor(OrthoContext& ctx, MatrixView g, const std::string& what) {
   // Keep a pristine copy in case a shifted retry is needed.
   dense::Matrix saved = dense::copy_of(g);
-  const bool forced = consume_injected_breakdown(ctx);
+  const bool forced = consult_chol_fault(ctx);
   chol_with_policy(
       ctx, what,
       " (Gram matrix numerically indefinite; condition (1)/(5)/(9) violated)",
@@ -266,7 +274,7 @@ void chol_factor_dd(OrthoContext& ctx, MatrixView g_hi, MatrixView g_lo,
                     const std::string& what) {
   dense::Matrix saved_hi = dense::copy_of(g_hi);
   dense::Matrix saved_lo = dense::copy_of(g_lo);
-  const bool forced = consume_injected_breakdown(ctx);
+  const bool forced = consult_chol_fault(ctx);
   // Shifted retries start at u_dd * ||G||: the Gram entries are exact
   // to ~m * u_dd, so recovery perturbs ~1e16x less than the double
   // path's eps * ||G|| base.

@@ -19,7 +19,6 @@
 #include "par/communicator.hpp"
 #include "util/timer.hpp"
 
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -83,16 +82,6 @@ struct OrthoContext {
     return peak;
   }
 
-  /// Deterministic fault-injection seam (tests only).  Consulted once
-  /// per Gram Cholesky with the global attempt ordinal; returning true
-  /// makes that factorization report indefinite before any factor or
-  /// shift attempt runs.  Gram factorizations happen on replicated
-  /// post-reduce data in a collectively-ordered sequence, so the
-  /// ordinal — and hence the injected breakdown — is identical on
-  /// every rank at any thread count.
-  std::function<bool(long)> inject_breakdown;
-  long chol_attempts = 0;  ///< Gram Cholesky calls so far (seam ordinal)
-
   [[nodiscard]] int nranks() const { return comm ? comm->size() : 1; }
 };
 
@@ -153,7 +142,9 @@ void block_scale(OrthoContext& ctx, ConstMatrixView r, MatrixView v);
 /// Breakdown-aware Cholesky of the (small, replicated) Gram matrix g;
 /// overwrites g with the upper factor.  Under kShift, retries with
 /// progressively larger diagonal shifts (never more than 3 attempts);
-/// under kThrow, raises CholeskyBreakdown naming `what`.
+/// under kThrow, raises CholeskyBreakdown naming `what`.  Consults the
+/// `gram.chol` fault site once per call, before any factor attempt: a
+/// corrupt there makes the factorization report indefinite.
 void chol_factor(OrthoContext& ctx, MatrixView g, const std::string& what);
 
 /// Double-double counterpart of chol_factor: factors the pair-form
@@ -180,8 +171,8 @@ void residual_gram(OrthoContext& ctx, ConstMatrixView r, MatrixView g);
 /// block Q0 = R S0^{-1} to q and overwrites g with S0, the right-hand
 /// side factor of the cycle's least-squares problem.  Wider blocks
 /// factor S0 = chol(G) (one Gram Cholesky); one column is q = r / gamma
-/// with S0 = gamma = ||r||, a scaling that consumes no Cholesky attempt
-/// ordinal (OrthoContext::inject_breakdown).
+/// with S0 = gamma = ||r||, a scaling that consumes no `gram.chol`
+/// fault ordinal.
 void seed_block(OrthoContext& ctx, ConstMatrixView r, MatrixView g,
                 MatrixView q);
 

@@ -16,7 +16,7 @@
 // operation is the neighbor exchange (exchange_begin/exchange_end):
 // the modeled p2p latency of a round is *discounted* by the wall-clock
 // compute performed between begin and end — the interior SpMV rows in
-// DistCsr::spmv — exactly as MPI_Irecv/Isend + interior work + Waitall
+// DistCsr::spmm — exactly as MPI_Irecv/Isend + interior work + Waitall
 // would hide it on a real fabric.  CommStats::overlapped_seconds
 // accounts the hidden share, injected_seconds the exposed share
 // actually spun.
@@ -122,7 +122,7 @@ class Communicator {
   /// model, the sum of each peer message's cost
   /// (NetworkModel::p2p_round_seconds, single-port injection).  Compute
   /// performed between exchange_begin and exchange_end (interior SpMV
-  /// rows in the overlapped DistCsr::spmv) is credited against the
+  /// rows in the overlapped DistCsr::spmm) is credited against the
   /// modeled p2p latency, mirroring MPI_Irecv/Isend + interior work +
   /// Waitall.  No collective may run while the exchange is open: both
   /// use the rank's one publication slot.
@@ -144,7 +144,7 @@ class Communicator {
   /// paths.  Borrowed, job-scoped; the api facade installs it at the
   /// top of each spmd body.  The comm layer consults the
   /// `comm.allreduce` site at the entry of every allreduce; kernel
-  /// layers (DistCsr::spmv, the ortho Gram) consult their own sites
+  /// layers (DistCsr::spmm, the ortho Gram) consult their own sites
   /// through consult_fault() on the communicator they already hold.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return fault_; }

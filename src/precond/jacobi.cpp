@@ -4,19 +4,20 @@
 
 namespace tsbo::precond {
 
-Jacobi::Jacobi(const sparse::DistCsr& a) {
-  const sparse::CsrMatrix& local = a.local_matrix();
-  inv_diag_.assign(static_cast<std::size_t>(local.rows), 1.0);
-  for (sparse::ord i = 0; i < local.rows; ++i) {
-    // Diagonal entry: global column row_begin+i maps to local column i.
-    for (sparse::offset k = local.row_ptr[i]; k < local.row_ptr[i + 1]; ++k) {
-      if (local.col_idx[static_cast<std::size_t>(k)] == i) {
-        const double d = local.values[static_cast<std::size_t>(k)];
-        if (d != 0.0) inv_diag_[static_cast<std::size_t>(i)] = 1.0 / d;
+Jacobi::Jacobi(const sparse::DistCsr& a)
+    : inv_diag_(static_cast<std::size_t>(a.n_local()), 1.0) {
+  // Diagonal entry: global column row_begin+i maps to local column i.
+  a.for_each_local_row([this](sparse::ord i, std::span<const sparse::ord> cols,
+                              std::span<const double> vals) {
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (cols[k] == i) {
+        if (vals[k] != 0.0) {
+          inv_diag_[static_cast<std::size_t>(i)] = 1.0 / vals[k];
+        }
         break;
       }
     }
-  }
+  });
 }
 
 void Jacobi::apply(std::span<const double> x, std::span<double> y) const {

@@ -44,11 +44,13 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
     : rank_(rank), partition_(partition.n(), partition.nranks()) {
   const ord begin = partition_.begin(rank);
   const ord end = partition_.end(rank);
-  local_ = extract_rows(global, begin, end);
+  // Row-ordered local rows: construction scratch only, the interior and
+  // boundary blocks cut from it below are the stored copy.
+  CsrMatrix local = extract_rows(global, begin, end);
 
   // Collect off-rank (ghost) column ids.
   std::vector<ord> ghosts;
-  for (const ord c : local_.col_idx) {
+  for (const ord c : local.col_idx) {
     if (c < begin || c >= end) ghosts.push_back(c);
   }
   std::sort(ghosts.begin(), ghosts.end());
@@ -57,7 +59,7 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
 
   // Remap columns: own rows -> [0, nlocal), ghosts -> nlocal + slot.
   const ord nlocal = end - begin;
-  for (ord& c : local_.col_idx) {
+  for (ord& c : local.col_idx) {
     if (c >= begin && c < end) {
       c -= begin;
     } else {
@@ -66,24 +68,24 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
       c = nlocal + static_cast<ord>(it - ghost_gid_.begin());
     }
   }
-  local_.cols = nlocal + static_cast<ord>(ghost_gid_.size());
+  local.cols = nlocal + static_cast<ord>(ghost_gid_.size());
 
   // Deterministic interior/boundary row partition: a row is interior
   // iff every column it touches is owned (< nlocal).  Ascending row
   // order in both lists keeps the split reproducible and the blocks'
-  // per-row data bit-identical to local_'s.
-  for (ord i = 0; i < local_.rows; ++i) {
+  // per-row data bit-identical to the row-ordered matrix's.
+  for (ord i = 0; i < local.rows; ++i) {
     bool has_ghost = false;
-    for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
-      if (local_.col_idx[static_cast<std::size_t>(k)] >= nlocal) {
+    for (offset k = local.row_ptr[i]; k < local.row_ptr[i + 1]; ++k) {
+      if (local.col_idx[static_cast<std::size_t>(k)] >= nlocal) {
         has_ghost = true;
         break;
       }
     }
     (has_ghost ? boundary_rows_ : interior_rows_).push_back(i);
   }
-  interior_ = extract_row_subset(local_, interior_rows_);
-  boundary_ = extract_row_subset(local_, boundary_rows_);
+  interior_ = extract_row_subset(local, interior_rows_);
+  boundary_ = extract_row_subset(local, boundary_rows_);
 
   ghost_owner_.resize(ghost_gid_.size());
   ghost_peer_offset_.resize(ghost_gid_.size());
@@ -101,87 +103,100 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
     peer_recv_bytes_.push_back(bytes);
   }
 
-  xbuf_.resize(static_cast<std::size_t>(local_.cols));
+  xbuf_.resize(static_cast<std::size_t>(local.cols));
 }
 
 CsrMatrix DistCsr::local_diagonal_block() const {
-  const ord n = local_.rows;
+  const ord n = n_local();
   std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(local_.nnz()));
-  // Interior rows hold no ghost columns by construction: copy verbatim.
-  for (const ord i : interior_rows_) {
-    for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
-      t.push_back({i, local_.col_idx[static_cast<std::size_t>(k)],
-                   local_.values[static_cast<std::size_t>(k)]});
+  t.reserve(static_cast<std::size_t>(nnz_local()));
+  // Drop the ghost columns (block Jacobi across ranks); interior rows
+  // hold none, so only boundary rows lose entries.
+  for_each_local_row([&](ord i, std::span<const ord> cols,
+                         std::span<const double> vals) {
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (cols[k] < n) t.push_back({i, cols[k], vals[k]});
     }
-  }
-  // Boundary rows: drop the ghost columns (block Jacobi across ranks).
-  for (const ord i : boundary_rows_) {
-    for (offset k = local_.row_ptr[i]; k < local_.row_ptr[i + 1]; ++k) {
-      const ord j = local_.col_idx[static_cast<std::size_t>(k)];
-      if (j < n) t.push_back({i, j, local_.values[static_cast<std::size_t>(k)]});
-    }
-  }
+  });
   return csr_from_triplets(n, n, std::move(t));
 }
 
-void DistCsr::fill_ghosts(par::Communicator& comm) const {
-  const std::size_t nlocal = static_cast<std::size_t>(n_local());
-  for (std::size_t g = 0; g < ghost_gid_.size(); ++g) {
-    xbuf_[nlocal + g] =
-        comm.peer_buffer(ghost_owner_[g])[static_cast<std::size_t>(
-            ghost_peer_offset_[g])];
-  }
-}
+void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
+                   dense::MatrixView y_local, util::PhaseTimers* timers) const {
+  const auto nlocal = static_cast<std::size_t>(n_local());
+  assert(static_cast<std::size_t>(x_local.rows) == nlocal);
+  assert(static_cast<std::size_t>(y_local.rows) == nlocal);
+  assert(x_local.cols == y_local.cols);
+  assert(x_local.cols >= 1);
+  const auto k = static_cast<std::size_t>(x_local.cols);
+  const std::size_t need = (nlocal + ghost_gid_.size()) * k;
+  if (xbuf_.size() < need) xbuf_.resize(need);
+  const std::span<const double> x(xbuf_.data(), need);
+  const auto multiply = [&](const CsrMatrix& block, std::span<const ord> rows) {
+    if (k == 1) {
+      spmv_rows_mapped(block, rows, x, std::span<double>(y_local.data, nlocal));
+    } else {
+      spmm_rows_mapped(block, rows, x.data(), static_cast<ord>(k),
+                       y_local.data, static_cast<std::size_t>(y_local.ld));
+    }
+  };
+  const auto phase = [timers](const char* done, const char* next) {
+    if (timers) {
+      timers->stop(done);
+      timers->start(next);
+    }
+  };
+  const bool exchange = comm.size() > 1;
 
-void DistCsr::gather_ghosts(par::Communicator& comm,
-                            std::span<const double> x_local) const {
-  assert(static_cast<ord>(x_local.size()) == n_local());
-  std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-  if (comm.size() > 1) {
-    comm.exchange_begin(x_local);
-    fill_ghosts(comm);
-    comm.exchange_end(peer_recv_bytes_, ghost_gid_.size() * sizeof(double));
-  }
-}
-
-void DistCsr::spmv(par::Communicator& comm, std::span<const double> x_local,
-                   std::span<double> y_local, util::PhaseTimers* timers) const {
-  assert(static_cast<ord>(y_local.size()) == n_local());
-  assert(static_cast<ord>(x_local.size()) == n_local());
-  if (comm.size() > 1) {
-    // Split-phase apply: open the exchange, multiply the interior rows
-    // while the modeled halo latency progresses, then gather the
-    // ghosts, close the exchange (which discounts the interior compute
-    // from the injected latency), and finish the boundary rows.
-    if (timers) timers->start("spmv/comm");
-    comm.exchange_begin(x_local);
-    if (timers) {
-      timers->stop("spmv/comm");
-      timers->start("spmv/local");
-    }
-    std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-    spmv_rows_mapped(interior_, interior_rows_, xbuf_, y_local);
-    if (timers) {
-      timers->stop("spmv/local");
-      timers->start("spmv/comm");
-    }
-    fill_ghosts(comm);
-    comm.exchange_end(peer_recv_bytes_, ghost_gid_.size() * sizeof(double));
-    if (timers) {
-      timers->stop("spmv/comm");
-      timers->start("spmv/local");
-    }
-    spmv_rows_mapped(boundary_, boundary_rows_, xbuf_, y_local);
-    if (timers) timers->stop("spmv/local");
+  if (timers) timers->start("spmv/local");
+  // Pack the owned entries k-interleaved BEFORE opening the exchange:
+  // exchange_begin publishes this prefix and peers read it inside the
+  // begin/end window, so it must be complete at begin.
+  if (k == 1) {
+    std::memcpy(xbuf_.data(), x_local.data, nlocal * sizeof(double));
   } else {
-    if (timers) timers->start("spmv/local");
-    std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-    spmv_rows_mapped(interior_, interior_rows_, xbuf_, y_local);
-    spmv_rows_mapped(boundary_, boundary_rows_, xbuf_, y_local);
-    if (timers) timers->stop("spmv/local");
+    par::parallel_for_grained(nlocal, [&](std::size_t b, std::size_t e) {
+      for (std::size_t j = b; j < e; ++j) {
+        double* dst = xbuf_.data() + j * k;
+        for (std::size_t t = 0; t < k; ++t) {
+          dst[t] = x_local(static_cast<dense::index_t>(j),
+                           static_cast<dense::index_t>(t));
+        }
+      }
+    });
   }
-  consult_spmv_faults(comm, y_local);
+  if (exchange) {
+    // Split-phase apply: open the exchange, multiply the interior rows
+    // while the modeled halo latency progresses, then copy the ghosts,
+    // close the exchange (which discounts the interior compute from
+    // the injected latency), and finish the boundary rows.
+    phase("spmv/local", "spmv/comm");
+    comm.exchange_begin(x.first(nlocal * k));
+    phase("spmv/comm", "spmv/local");
+  }
+  multiply(interior_, interior_rows_);
+  if (exchange) {
+    phase("spmv/local", "spmv/comm");
+    // Ghost row g arrives as k consecutive values at the owner's
+    // interleaved offset; one exchange moves k times the spmv volume.
+    for (std::size_t g = 0; g < ghost_gid_.size(); ++g) {
+      std::copy_n(comm.peer_buffer(ghost_owner_[g]).data() +
+                      static_cast<std::size_t>(ghost_peer_offset_[g]) * k,
+                  k, xbuf_.data() + (nlocal + g) * k);
+    }
+    peer_recv_bytes_k_.resize(peer_recv_bytes_.size());
+    for (std::size_t p = 0; p < peer_recv_bytes_.size(); ++p) {
+      peer_recv_bytes_k_[p] = peer_recv_bytes_[p] * k;
+    }
+    comm.exchange_end(peer_recv_bytes_k_,
+                      ghost_gid_.size() * k * sizeof(double));
+    phase("spmv/comm", "spmv/local");
+  }
+  multiply(boundary_, boundary_rows_);
+  if (timers) timers->stop("spmv/local");
+  // One fault consult per apply (not per column): a corrupt addresses
+  // the global row in column 0.
+  consult_spmv_faults(comm, std::span<double>(y_local.data, nlocal));
 }
 
 void DistCsr::consult_spmv_faults(par::Communicator& comm,
@@ -208,94 +223,6 @@ void DistCsr::consult_spmv_faults(par::Communicator& comm,
   };
   injector->consult(comm.rank(), par::FaultSite::kSpmvInterior, corrupt);
   injector->consult(comm.rank(), par::FaultSite::kCommExchange, corrupt);
-}
-
-void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
-                   dense::MatrixView y_local, util::PhaseTimers* timers) const {
-  const ord nlocal = n_local();
-  assert(static_cast<ord>(x_local.rows) == nlocal);
-  assert(static_cast<ord>(y_local.rows) == nlocal);
-  assert(x_local.cols == y_local.cols);
-  const ord k = static_cast<ord>(x_local.cols);
-  assert(k >= 1);
-  if (k == 1) {
-    spmv(comm, std::span<const double>(x_local.col(0), nlocal),
-         std::span<double>(y_local.col(0), nlocal), timers);
-    return;
-  }
-  xkbuf_.resize(static_cast<std::size_t>(local_.cols) *
-                static_cast<std::size_t>(k));
-  // Pack the owned entries k-interleaved BEFORE opening the exchange:
-  // exchange_begin publishes this buffer and peers read from it inside
-  // the begin/end window, so it must be complete at begin.
-  par::parallel_for_grained(
-      static_cast<std::size_t>(nlocal), [&](std::size_t b, std::size_t e) {
-        for (std::size_t j = b; j < e; ++j) {
-          double* dst = xkbuf_.data() + j * static_cast<std::size_t>(k);
-          for (ord t = 0; t < k; ++t) {
-            dst[t] = x_local(static_cast<dense::index_t>(j), t);
-          }
-        }
-      });
-  const std::span<const double> packed(
-      xkbuf_.data(), static_cast<std::size_t>(nlocal) * k);
-  if (comm.size() > 1) {
-    if (timers) timers->start("spmv/comm");
-    comm.exchange_begin(packed);
-    if (timers) {
-      timers->stop("spmv/comm");
-      timers->start("spmv/local");
-    }
-    spmm_rows_mapped(interior_, interior_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    if (timers) {
-      timers->stop("spmv/local");
-      timers->start("spmv/comm");
-    }
-    // Ghost row g arrives as k consecutive values at the owner's
-    // interleaved offset; one exchange moves k times the spmv volume.
-    for (std::size_t g = 0; g < ghost_gid_.size(); ++g) {
-      const double* src =
-          comm.peer_buffer(ghost_owner_[g]).data() +
-          static_cast<std::size_t>(ghost_peer_offset_[g]) * k;
-      double* dst =
-          xkbuf_.data() + (static_cast<std::size_t>(nlocal) + g) * k;
-      std::memcpy(dst, src, static_cast<std::size_t>(k) * sizeof(double));
-    }
-    peer_recv_bytes_k_.resize(peer_recv_bytes_.size());
-    for (std::size_t p = 0; p < peer_recv_bytes_.size(); ++p) {
-      peer_recv_bytes_k_[p] = peer_recv_bytes_[p] * static_cast<std::size_t>(k);
-    }
-    comm.exchange_end(peer_recv_bytes_k_,
-                      ghost_gid_.size() * static_cast<std::size_t>(k) *
-                          sizeof(double));
-    if (timers) {
-      timers->stop("spmv/comm");
-      timers->start("spmv/local");
-    }
-    spmm_rows_mapped(boundary_, boundary_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    if (timers) timers->stop("spmv/local");
-  } else {
-    if (timers) timers->start("spmv/local");
-    spmm_rows_mapped(interior_, interior_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    spmm_rows_mapped(boundary_, boundary_rows_, xkbuf_.data(), k,
-                     y_local.data, static_cast<std::size_t>(y_local.ld));
-    if (timers) timers->stop("spmv/local");
-  }
-  // One fault consult per apply (not per column): a corrupt addresses
-  // the global row in column 0, keeping the perturbed state invariant
-  // across rank counts exactly as in spmv().
-  consult_spmv_faults(
-      comm, std::span<double>(y_local.col(0), static_cast<std::size_t>(nlocal)));
-}
-
-void DistCsr::spmv_local_only(std::span<const double> x_local,
-                              std::span<double> y_local) const {
-  std::memcpy(xbuf_.data(), x_local.data(), x_local.size_bytes());
-  spmv_rows_mapped(interior_, interior_rows_, xbuf_, y_local);
-  spmv_rows_mapped(boundary_, boundary_rows_, xbuf_, y_local);
 }
 
 }  // namespace tsbo::sparse

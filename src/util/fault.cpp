@@ -10,7 +10,7 @@ namespace {
 
 constexpr const char* kSiteNames[kNumFaultSites] = {
     "comm.allreduce", "comm.exchange", "spmv.interior", "gram.stage1",
-    "service.dispatch",
+    "service.dispatch", "gram.chol",
 };
 
 std::vector<std::string> site_name_list() {

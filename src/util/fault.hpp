@@ -3,10 +3,10 @@
 //
 // A FaultPlan is a list of (site, ordinal, action) triples: "at the
 // ordinal-th visit of the named site, do X".  The instrumented layers
-// (par::Communicator collectives, sparse::DistCsr::spmv, the ortho
-// layer's fused stage-1 Gram, the solver service's dispatch) consult
-// their site through the FaultInjector installed on the rank's
-// communicator.  Determinism contract: SPMD ranks issue the
+// (par::Communicator collectives, sparse::DistCsr's apply, the ortho
+// layer's fused stage-1 Gram and Gram Cholesky, the solver service's
+// dispatch) consult their site through the FaultInjector installed on
+// the rank's communicator.  Determinism contract: SPMD ranks issue the
 // instrumented operations in identical order, each rank owns its own
 // per-site ordinal counters, and a fault fires iff (site, ordinal)
 // matches a not-yet-fired plan entry — a pure function of the plan and
@@ -17,8 +17,9 @@
 //
 // Ordinal addressing is also rank-count-invariant: sites are consulted
 // at logical algorithm boundaries (once per spmv, once per stage-1
-// Gram, ...) that exist at every rank count — e.g. DistCsr::spmv
-// consults `comm.exchange` even at ranks=1, where no exchange happens.
+// Gram, once per Gram Cholesky, ...) that exist at every rank count —
+// e.g. DistCsr's apply consults `comm.exchange` even at ranks=1, where
+// no exchange happens.
 //
 // Actions:
 //   throw       InjectedFault raised on every rank at the consult
@@ -32,14 +33,13 @@
 //               consulting site chooses the payload; the spmv sites
 //               address a *global* vector entry, so the corrupted
 //               state — and the whole downstream trajectory — is
-//               bitwise-identical at any rank count.
+//               bitwise-identical at any rank count.  At `gram.chol`
+//               the payload is the factorization's verdict: it
+//               reports indefinite.
 //
 // The injector is scoped to a JOB, not a solve: fired entries never
 // re-fire, so a retried attempt runs clean (the service's
 // retry-after-corrupt path converges to the clean solution bitwise).
-//
-// This generalizes PR 7's SStepGmresConfig::inject_chol_breakdown
-// seam from one hard-coded site to a declarative plan.
 //
 // CancelToken lives here too: the cooperative cancellation flag +
 // deadline the krylov solvers poll at restart boundaries.
@@ -58,12 +58,13 @@ namespace tsbo::par {
 /// The named injection sites (docs/algorithms.md "Fault injection").
 enum class FaultSite : int {
   kCommAllreduce = 0,  ///< entry of every (i)allreduce collective
-  kCommExchange,       ///< halo-exchange leg of DistCsr::spmv
-  kSpmvInterior,       ///< interior sweep of DistCsr::spmv
+  kCommExchange,       ///< halo-exchange leg of DistCsr::spmm
+  kSpmvInterior,       ///< interior sweep of DistCsr::spmm
   kGramStage1,         ///< fused stage-1 Gram (ortho layer)
   kServiceDispatch,    ///< per-attempt job dispatch (solver service)
+  kGramChol,           ///< every Gram Cholesky (ortho layer)
 };
-inline constexpr int kNumFaultSites = 5;
+inline constexpr int kNumFaultSites = 6;
 
 const char* fault_site_name(FaultSite site);
 

@@ -2,8 +2,8 @@
 // double-double Gram escalation, and re-base recovery from
 // CholeskyBreakdown — driven both through the api facade (the natural
 // ill-conditioned breakdown the Ga41As41H72 surrogate provides) and
-// through the krylov layer directly with the deterministic
-// fault-injection seam (SStepGmresConfig::inject_chol_breakdown).
+// through the krylov layer directly with `gram.chol` faults from a
+// FaultPlan installed on the rank communicators.
 // Every decision consumes globally-reduced quantities only, so the
 // trails and the solutions are checked for determinism across thread
 // and rank counts.
@@ -54,15 +54,26 @@ struct DirectRun {
   std::vector<double> x;
 };
 
+/// A fresh injector forcing the `ordinal`-th Gram Cholesky to report
+/// indefinite (fired faults never re-fire, so each run needs its own).
+par::FaultInjector chol_fault(long ordinal, int ranks) {
+  return par::FaultInjector(
+      par::FaultPlan::parse("gram.chol@" + std::to_string(ordinal) + ":corrupt"),
+      ranks);
+}
+
 /// Runs two-stage s-step GMRES at the krylov layer (full config
-/// access, including the fault-injection seam) on `ranks` SPMD ranks.
+/// access) on `ranks` SPMD ranks, with `injector` (optional) installed
+/// on every rank's communicator.
 DirectRun run_direct(
     const sparse::CsrMatrix& a, int ranks,
-    const std::function<void(krylov::SStepGmresConfig&)>& tweak) {
+    const std::function<void(krylov::SStepGmresConfig&)>& tweak,
+    par::FaultInjector* injector = nullptr) {
   const std::vector<double> b = api::ones_rhs(a);
   DirectRun out;
   out.x.assign(b.size(), 0.0);
   par::spmd_run(ranks, [&](par::Communicator& comm) {
+    comm.set_fault_injector(injector);
     const sparse::RowPartition part(a.rows, comm.size());
     const sparse::DistCsr dist(a, part, comm.rank());
     const auto begin = static_cast<std::size_t>(part.begin(comm.rank()));
@@ -174,14 +185,17 @@ TEST(Autopilot, GrowsBackAfterHealthyCycles) {
   // relaxes straight back to the configured s after one good cycle, and
   // stays there — exactly three decisions in the whole solve.
   const sparse::CsrMatrix a = sparse::laplace2d_5pt(64, 64);
-  const DirectRun run = run_direct(a, 1, [](krylov::SStepGmresConfig& cfg) {
-    cfg.rtol = 1e-8;
-    cfg.autopilot.enabled = true;
-    cfg.autopilot.kappa_high = 1e8;
-    cfg.autopilot.kappa_low = 1e7;
-    cfg.autopilot.patience = 1;
-    cfg.inject_chol_breakdown = [](long ordinal) { return ordinal == 0; };
-  });
+  par::FaultInjector injector = chol_fault(0, 1);
+  const DirectRun run = run_direct(
+      a, 1,
+      [](krylov::SStepGmresConfig& cfg) {
+        cfg.rtol = 1e-8;
+        cfg.autopilot.enabled = true;
+        cfg.autopilot.kappa_high = 1e8;
+        cfg.autopilot.kappa_low = 1e7;
+        cfg.autopilot.patience = 1;
+      },
+      &injector);
 
   EXPECT_TRUE(run.res.converged);
   EXPECT_EQ(run.res.rebase_recoveries, 1);
@@ -194,29 +208,28 @@ TEST(Autopilot, GrowsBackAfterHealthyCycles) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-injection seam.
+// `gram.chol` fault site.
 // ---------------------------------------------------------------------------
 
 TEST(Autopilot, InjectionSeamIsDeterministicAndHonorsThrowPolicy) {
-  // The seam sees every Gram Cholesky exactly once, in a fixed global
+  // The site sees every Gram Cholesky exactly once, in a fixed global
   // order; with the autopilot OFF and policy=throw, a forced failure
-  // surfaces as the ordinary CholeskyBreakdown abort.
+  // surfaces as the ordinary CholeskyBreakdown abort — and only the
+  // planned ordinal fires.
   const sparse::CsrMatrix a = sparse::laplace2d_5pt(16, 16);
-  std::vector<long> seen;
-  EXPECT_THROW(
-      run_direct(a, 1,
-                 [&](krylov::SStepGmresConfig& cfg) {
-                   cfg.policy = ortho::BreakdownPolicy::kThrow;
-                   cfg.inject_chol_breakdown = [&seen](long ordinal) {
-                     seen.push_back(ordinal);
-                     return ordinal == 3;
-                   };
-                 }),
-      ortho::CholeskyBreakdown);
-  ASSERT_EQ(seen.size(), 4u);  // ordinals 0..3, then the forced abort
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], static_cast<long>(i));
-  }
+  par::FaultInjector injector = chol_fault(3, 1);
+  EXPECT_THROW(run_direct(
+                   a, 1,
+                   [](krylov::SStepGmresConfig& cfg) {
+                     cfg.policy = ortho::BreakdownPolicy::kThrow;
+                   },
+                   &injector),
+               ortho::CholeskyBreakdown);
+  const std::vector<par::FaultRecord>& fired = injector.trail();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].site, par::FaultSite::kGramChol);
+  EXPECT_EQ(fired[0].ordinal, 3);
+  EXPECT_EQ(fired[0].action, par::FaultAction::kCorrupt);
 }
 
 TEST(Autopilot, ForcedMidSolveBreakdownRecoversBitwiseAcrossThreads) {
@@ -229,7 +242,6 @@ TEST(Autopilot, ForcedMidSolveBreakdownRecoversBitwiseAcrossThreads) {
   const auto tweak = [](krylov::SStepGmresConfig& cfg) {
     cfg.rtol = 1e-8;
     cfg.autopilot.enabled = true;
-    cfg.inject_chol_breakdown = [](long ordinal) { return ordinal == 7; };
   };
 
   std::vector<std::string> trail0;
@@ -237,7 +249,8 @@ TEST(Autopilot, ForcedMidSolveBreakdownRecoversBitwiseAcrossThreads) {
   long iters0 = -1;
   for (const unsigned t : {1u, 2u, 7u}) {
     par::set_num_threads(t);
-    const DirectRun run = run_direct(a, 2, tweak);
+    par::FaultInjector injector = chol_fault(7, 2);
+    const DirectRun run = run_direct(a, 2, tweak, &injector);
     par::set_num_threads(0);
     EXPECT_TRUE(run.res.converged) << "threads=" << t;
     EXPECT_GE(run.res.rebase_recoveries, 1) << "threads=" << t;
@@ -274,7 +287,6 @@ TEST(Autopilot, RecoveryBitwiseAcrossThreadsAndStableAcrossRanks) {
     cfg.rtol = 1e-8;
     cfg.autopilot.enabled = true;
     cfg.autopilot.patience = 1;
-    cfg.inject_chol_breakdown = [](long ordinal) { return ordinal == 0; };
   };
 
   std::vector<std::string> ref_trail;
@@ -284,7 +296,8 @@ TEST(Autopilot, RecoveryBitwiseAcrossThreadsAndStableAcrossRanks) {
     long iters_t1 = -1;
     for (const unsigned t : {1u, 2u, 7u}) {
       par::set_num_threads(t);
-      const DirectRun run = run_direct(a, ranks, tweak);
+      par::FaultInjector injector = chol_fault(0, ranks);
+      const DirectRun run = run_direct(a, ranks, tweak, &injector);
       par::set_num_threads(0);
       ASSERT_TRUE(run.res.converged) << ranks << "x" << t;
       ASSERT_FALSE(run.res.autopilot_events.empty()) << ranks << "x" << t;

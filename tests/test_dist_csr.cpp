@@ -139,44 +139,12 @@ TEST(DistCsr, P2pRoundsCounted) {
 
 // ---- interior/boundary split ----------------------------------------
 
-/// Pre-split reference apply: rebuild the gathered [own | ghosts]
-/// buffer from the global data (same sorted-unique ghost ordering the
-/// constructor uses) and run the UNSPLIT per-row kernel over all local
-/// rows of the remapped local matrix — exactly what DistCsr::spmv did
-/// before the interior/boundary refactor.
-std::vector<double> presplit_apply(const sparse::CsrMatrix& global,
-                                   const sparse::DistCsr& dist,
-                                   std::span<const double> x_global) {
-  const sparse::ord begin = dist.row_begin();
-  const auto nloc = static_cast<std::size_t>(dist.n_local());
-  const sparse::ord end = begin + static_cast<sparse::ord>(nloc);
-  std::vector<sparse::ord> ghosts;
-  for (sparse::ord i = begin; i < end; ++i) {
-    for (sparse::offset k = global.row_ptr[i]; k < global.row_ptr[i + 1];
-         ++k) {
-      const sparse::ord c = global.col_idx[static_cast<std::size_t>(k)];
-      if (c < begin || c >= end) ghosts.push_back(c);
-    }
-  }
-  std::sort(ghosts.begin(), ghosts.end());
-  ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
-
-  std::vector<double> xbuf(nloc + ghosts.size());
-  std::copy_n(x_global.data() + begin, nloc, xbuf.begin());
-  for (std::size_t g = 0; g < ghosts.size(); ++g) {
-    xbuf[nloc + g] = x_global[static_cast<std::size_t>(ghosts[g])];
-  }
-  std::vector<double> y(nloc, 0.0);
-  sparse::spmv_rows(dist.local_matrix(), 0, dist.n_local(), xbuf, y);
-  return y;
-}
-
 class SplitParityRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(SplitParityRanks, SplitApplyBitwiseEqualsUnsplitReference) {
   // The acceptance bar: the interior/boundary-split apply must be
-  // BITWISE identical to the pre-split apply (and to the sequential
-  // product: per-row accumulation order is unchanged by partitioning).
+  // BITWISE identical to the unsplit sequential product of the global
+  // matrix (per-row accumulation order is unchanged by partitioning).
   const int p = GetParam();
   for (const unsigned threads : {1u, 2u, 7u}) {
     par::set_num_threads(threads);
@@ -196,19 +164,35 @@ TEST_P(SplitParityRanks, SplitApplyBitwiseEqualsUnsplitReference) {
 
       std::vector<double> y_split(nloc, 0.0);
       dist.spmv(comm, x_local, y_split);
-      const std::vector<double> y_ref = presplit_apply(a, dist, x);
 
       for (std::size_t i = 0; i < nloc; ++i) {
         // EXPECT_EQ on doubles: bit-for-bit (no NaNs in this product).
-        EXPECT_EQ(y_split[i], y_ref[i]) << "rank " << comm.rank() << " row "
-                                        << i << " threads " << threads;
-        EXPECT_EQ(y_split[i], y_seq[begin + i]) << "vs sequential, row " << i;
+        EXPECT_EQ(y_split[i], y_seq[begin + i])
+            << "rank " << comm.rank() << " row " << i << " threads " << threads;
       }
-      // Split covers every local row exactly once.
+      // Split covers every local row exactly once, with the global
+      // row's entries in CSR order (columns remapped to local slots).
       EXPECT_EQ(dist.interior_rows().size() + dist.boundary_rows().size(),
                 nloc);
-      EXPECT_EQ(dist.interior_matrix().nnz() + dist.boundary_matrix().nnz(),
-                dist.local_matrix().nnz());
+      std::vector<int> visits(nloc, 0);
+      dist.for_each_local_row([&](sparse::ord i,
+                                  std::span<const sparse::ord> cols,
+                                  std::span<const double> vals) {
+        visits[static_cast<std::size_t>(i)] += 1;
+        const sparse::ord g = dist.row_begin() + i;
+        const auto rb = static_cast<std::size_t>(a.row_ptr[g]);
+        ASSERT_EQ(cols.size(), static_cast<std::size_t>(a.row_ptr[g + 1]) - rb);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+          EXPECT_EQ(vals[k], a.values[rb + k]);
+          const sparse::ord c = a.col_idx[rb + k] - dist.row_begin();
+          if (c >= 0 && c < dist.n_local()) EXPECT_EQ(cols[k], c);
+          else EXPECT_GE(cols[k], dist.n_local());
+        }
+      });
+      EXPECT_EQ(std::count(visits.begin(), visits.end(), 1),
+                static_cast<std::ptrdiff_t>(nloc));
+      EXPECT_EQ(dist.nnz_local(), a.row_ptr[dist.row_begin() + dist.n_local()] -
+                                      a.row_ptr[dist.row_begin()]);
     });
   }
   par::set_num_threads(0);  // restore default resolution
@@ -229,7 +213,6 @@ TEST(DistCsr, EmptyBoundaryPartition) {
     const sparse::DistCsr dist(a, part, comm.rank());
     EXPECT_EQ(dist.n_ghost(), 0);
     EXPECT_EQ(dist.boundary_rows().size(), 0u);
-    EXPECT_EQ(dist.boundary_matrix().rows, 0);
     const auto nloc = static_cast<std::size_t>(dist.n_local());
     std::vector<double> x(nloc, 1.0), y(nloc, -1.0);
     comm.reset_stats();
@@ -264,7 +247,6 @@ TEST(DistCsr, EmptyInteriorPartition) {
     const sparse::RowPartition part(a.rows, comm.size());
     const sparse::DistCsr dist(a, part, comm.rank());
     EXPECT_EQ(dist.interior_rows().size(), 0u);
-    EXPECT_EQ(dist.interior_matrix().rows, 0);
     EXPECT_EQ(dist.boundary_rows().size(),
               static_cast<std::size_t>(dist.n_local()));
     const auto begin = static_cast<std::size_t>(part.begin(comm.rank()));
@@ -279,20 +261,20 @@ TEST(DistCsr, EmptyInteriorPartition) {
 
 TEST(DistCsr, LocalDiagonalBlockMatchesGhostFilter) {
   // local_diagonal_block() (built from the split) must equal the plain
-  // every-row ghost filter the preconditioners used to perform.
+  // every-row filter of the global matrix to the rank's diagonal block.
   const auto a = sparse::laplace2d_5pt(14, 11);
   par::spmd_run(3, [&](par::Communicator& comm) {
     const sparse::RowPartition part(a.rows, comm.size());
     const sparse::DistCsr dist(a, part, comm.rank());
-    const sparse::CsrMatrix& local = dist.local_matrix();
-    const sparse::ord n = local.rows;
+    const sparse::ord begin = dist.row_begin();
+    const sparse::ord n = dist.n_local();
     std::vector<sparse::Triplet> t;
     for (sparse::ord i = 0; i < n; ++i) {
-      for (sparse::offset k = local.row_ptr[i]; k < local.row_ptr[i + 1];
-           ++k) {
-        const sparse::ord j = local.col_idx[static_cast<std::size_t>(k)];
-        if (j < n) {
-          t.push_back({i, j, local.values[static_cast<std::size_t>(k)]});
+      for (sparse::offset k = a.row_ptr[begin + i];
+           k < a.row_ptr[begin + i + 1]; ++k) {
+        const sparse::ord j = a.col_idx[static_cast<std::size_t>(k)] - begin;
+        if (j >= 0 && j < n) {
+          t.push_back({i, j, a.values[static_cast<std::size_t>(k)]});
         }
       }
     }
@@ -307,6 +289,84 @@ TEST(DistCsr, LocalDiagonalBlockMatchesGhostFilter) {
     EXPECT_TRUE(std::equal(got.values.begin(), got.values.end(),
                            expect.values.begin()));
   });
+}
+
+TEST(DistCsr, SpmmAnyWidthMatchesSerialColumns) {
+  // One split-phase apply serves every width: k = 1 must reproduce the
+  // global serial spmv bit for bit (gather-vectorized wide rows
+  // included), and every column of a wider product must equal a plain
+  // serial per-row sum over the global matrix.  A small parallel grain
+  // makes the rank lanes split the rows at threads = 7.
+  const std::size_t grain = par::parallel_grain();
+  par::set_parallel_grain(256);
+  const sparse::CsrMatrix stencil = sparse::laplace2d_9pt(40, 31);
+  const sparse::CsrMatrix wide = sparse::make_surrogate("ML_Geer", 3000).matrix;
+  for (const sparse::CsrMatrix* a : {&stencil, &wide}) {
+    const auto n = static_cast<std::size_t>(a->rows);
+    for (const int k : {1, 2, 4}) {
+      std::vector<double> x(n * static_cast<std::size_t>(k));
+      util::Xoshiro256 rng(41);
+      util::fill_normal(rng, x);
+      std::vector<double> y_ref(x.size());
+      if (k == 1) {
+        sparse::spmv(*a, x, y_ref);
+      } else {
+        for (int t = 0; t < k; ++t) {
+          const double* xc = x.data() + static_cast<std::size_t>(t) * n;
+          for (std::size_t i = 0; i < n; ++i) {
+            double s = 0.0;
+            for (sparse::offset e = a->row_ptr[i]; e < a->row_ptr[i + 1]; ++e) {
+              const auto ee = static_cast<std::size_t>(e);
+              s += a->values[ee] * xc[a->col_idx[ee]];
+            }
+            y_ref[static_cast<std::size_t>(t) * n + i] = s;
+          }
+        }
+      }
+      for (const int p : {1, 2, 3}) {
+        for (const unsigned threads : {1u, 7u}) {
+          par::set_num_threads(threads);
+          std::vector<double> y(x.size(), 0.0);
+          par::spmd_run(p, [&](par::Communicator& comm) {
+            const sparse::RowPartition part(a->rows, comm.size());
+            const sparse::DistCsr dist(*a, part, comm.rank());
+            const auto begin = static_cast<std::size_t>(dist.row_begin());
+            const dense::index_t nloc = dist.n_local();
+            const auto ld = static_cast<dense::index_t>(n);
+            dist.spmm(comm, dense::ConstMatrixView{x.data() + begin, nloc, k, ld},
+                      dense::MatrixView{y.data() + begin, nloc, k, ld});
+          });
+          for (std::size_t e = 0; e < y.size(); ++e) {
+            ASSERT_EQ(y[e], y_ref[e])
+                << "n=" << n << " k=" << k << " ranks=" << p
+                << " threads=" << threads << " col " << e / n << " row " << e % n;
+          }
+        }
+      }
+    }
+  }
+  par::set_num_threads(0);
+  par::set_parallel_grain(grain);
+}
+
+TEST(DistCsr, FootprintCountsRowsOnce) {
+  // The interior/boundary blocks are the only store of a rank's rows:
+  // the pieces together stay near the global matrix's own storage (row
+  // maps and the halo buffer are the only additions).
+  for (const sparse::CsrMatrix& a :
+       {sparse::laplace2d_9pt(64, 64),
+        sparse::make_surrogate("ML_Geer", 3000).matrix}) {
+    for (const int p : {1, 2, 3}) {
+      const sparse::RowPartition part(a.rows, p);
+      std::size_t total = 0;
+      for (int r = 0; r < p; ++r) {
+        total += sparse::DistCsr(a, part, r).footprint_bytes();
+      }
+      EXPECT_LT(static_cast<double>(total),
+                1.25 * static_cast<double>(a.storage_bytes()))
+          << "n=" << a.rows << " ranks=" << p;
+    }
+  }
 }
 
 TEST(DistCsr, SurrogateMatrixDistributes) {

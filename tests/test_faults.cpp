@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -40,9 +41,10 @@ api::SolverOptions bounded_opts(int nx, int ranks) {
 
 TEST(FaultPlanTest, ParsesAndRoundTrips) {
   const std::string spec =
-      "comm.allreduce@3:throw;spmv.interior@2:corrupt;gram.stage1@1:delay250";
+      "comm.allreduce@3:throw;spmv.interior@2:corrupt;gram.stage1@1:delay250;"
+      "gram.chol@4:corrupt";
   const FaultPlan plan = FaultPlan::parse(spec);
-  ASSERT_EQ(plan.faults.size(), 3u);
+  ASSERT_EQ(plan.faults.size(), 4u);
   EXPECT_EQ(plan.faults[0].site, FaultSite::kCommAllreduce);
   EXPECT_EQ(plan.faults[0].ordinal, 3);
   EXPECT_EQ(plan.faults[0].action, FaultAction::kThrow);
@@ -51,6 +53,8 @@ TEST(FaultPlanTest, ParsesAndRoundTrips) {
   EXPECT_EQ(plan.faults[2].site, FaultSite::kGramStage1);
   EXPECT_EQ(plan.faults[2].action, FaultAction::kDelay);
   EXPECT_EQ(plan.faults[2].delay_ms, 250);
+  EXPECT_EQ(plan.faults[3].site, FaultSite::kGramChol);
+  EXPECT_EQ(plan.faults[3].ordinal, 4);
   EXPECT_EQ(plan.to_string(), spec);
   EXPECT_EQ(FaultPlan::parse(plan.to_string()).to_string(), spec);
   EXPECT_TRUE(FaultPlan::parse("").empty());
@@ -122,20 +126,47 @@ TEST(FaultInjectorTest, FlipBitIsASelfInverse2Pow64Scale) {
 }
 
 TEST(FaultSolveTest, ThrowFaultAbortsEveryRankCleanly) {
-  for (const int ranks : {1, 2, 7}) {
-    api::SolverOptions opts = bounded_opts(24, ranks);
-    opts.faults = "comm.allreduce@2:throw";
-    api::Solver solver(opts);
-    try {
-      (void)solver.solve();
-      FAIL() << "injected throw did not surface (ranks=" << ranks << ")";
-    } catch (const par::InjectedFault& e) {
-      EXPECT_EQ(e.site(), FaultSite::kCommAllreduce);
-      EXPECT_EQ(e.ordinal(), 2);
+  for (const auto& [spec, site] :
+       {std::pair{"comm.allreduce@2:throw", FaultSite::kCommAllreduce},
+        std::pair{"gram.chol@2:throw", FaultSite::kGramChol}}) {
+    for (const int ranks : {1, 2, 7}) {
+      api::SolverOptions opts = bounded_opts(24, ranks);
+      opts.faults = spec;
+      api::Solver solver(opts);
+      try {
+        (void)solver.solve();
+        FAIL() << "injected throw did not surface (" << spec
+               << ", ranks=" << ranks << ")";
+      } catch (const par::InjectedFault& e) {
+        EXPECT_EQ(e.site(), site);
+        EXPECT_EQ(e.ordinal(), 2);
+      }
+      // The runtime is reusable after the unwind: a clean solve works.
+      api::Solver clean(bounded_opts(24, ranks));
+      EXPECT_NO_THROW((void)clean.solve());
     }
-    // The runtime is reusable after the unwind: a clean solve works.
-    api::Solver clean(bounded_opts(24, ranks));
-    EXPECT_NO_THROW((void)clean.solve());
+  }
+}
+
+TEST(FaultSolveTest, GramCholCorruptForcesBreakdownThroughThePolicy) {
+  // A corrupt at `gram.chol` makes that one Gram Cholesky report
+  // indefinite: breakdown=shift recovers with a shifted retry,
+  // breakdown=throw surfaces the ordinary CholeskyBreakdown.
+  for (const int ranks : {1, 2}) {
+    api::SolverOptions opts = bounded_opts(24, ranks);
+    opts.faults = "gram.chol@1:corrupt";
+    api::Solver shifted(opts);
+    const api::SolveReport report = shifted.solve();
+    EXPECT_EQ(report.result.cholesky_breakdowns, 1) << "ranks=" << ranks;
+    EXPECT_GE(report.result.shift_retries, 1) << "ranks=" << ranks;
+    ASSERT_EQ(report.resilience.fault_trail.size(), 1u);
+    EXPECT_EQ(report.resilience.fault_trail[0].site, FaultSite::kGramChol);
+    EXPECT_EQ(report.resilience.fault_trail[0].ordinal, 1);
+
+    opts.breakdown = "throw";
+    api::Solver thrown(opts);
+    EXPECT_THROW((void)thrown.solve(), ortho::CholeskyBreakdown)
+        << "ranks=" << ranks;
   }
 }
 

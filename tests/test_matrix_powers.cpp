@@ -121,7 +121,9 @@ TEST(MatrixPowers, PreconditionedOperatorAppliesMinvFirst) {
 
     std::vector<double> x(static_cast<std::size_t>(n), 1.0);
     std::vector<double> y(static_cast<std::size_t>(n));
-    op.apply(comm, x, y, nullptr);
+    const dense::ConstMatrixView xv{x.data(), n, 1, n};
+    const dense::MatrixView yv{y.data(), n, 1, n};
+    op.apply(comm, xv, yv, nullptr);
 
     // Reference: z = M^{-1} x, y = A z.
     std::vector<double> z(static_cast<std::size_t>(n)), yref(static_cast<std::size_t>(n));
@@ -132,7 +134,7 @@ TEST(MatrixPowers, PreconditionedOperatorAppliesMinvFirst) {
     }
 
     // apply_minv alone.
-    op.apply_minv(x, y, nullptr);
+    op.apply_minv(xv, yv, nullptr);
     for (index_t i = 0; i < n; ++i) {
       EXPECT_NEAR(y[static_cast<std::size_t>(i)], z[static_cast<std::size_t>(i)], 1e-15);
     }
