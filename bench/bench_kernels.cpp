@@ -11,6 +11,11 @@
 //                   2*m*s^2 *useful* flops, so the gap to gemm_tn is
 //                   exactly the software-dd overhead;
 //   * gemm_nn     — the panel update V -= Q R at the same shapes;
+//   * trsm        — the CholQR normalize V := V R^{-1} at m x s;
+//   * gemm_tn_panel — the two-stage stage-1 fused Gram [Q V]^T V of one
+//                   rank's rows of paper2d_9pt (256^2 / 2 ranks = 32768)
+//                   against the s = 5 panel V, with q0 = 5, 30, 55
+//                   earlier basis columns in Q;
 //   * gemm_tn_wide / gemm_nn_wide — the same products at the flat
 //                   panel widths the batched (rhs=k) block solver
 //                   produces (bs * k columns, --wide list), where the
@@ -47,6 +52,7 @@
 #include "util/timer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -126,8 +132,9 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   std::printf(
-      "# Kernel-layer thread sweep: gemm_tn / gemm_tn_dd / gemm_nn "
-      "(m = %d), spmv (%d x %d 9-pt Laplace), dot, axpy\n"
+      "# Kernel-layer thread sweep: gemm_tn / gemm_tn_dd / gemm_nn / trsm "
+      "(m = %d), stage-1 Gram panels, spmv (%d x %d 9-pt Laplace), dot, "
+      "axpy\n"
       "# simd: %s\n"
       "# threads:", m, nx, nx, tsbo::simd::isa_name());
   for (const int t : threads) std::printf(" %d", t);
@@ -177,6 +184,39 @@ int main(int argc, char** argv) {
           out.assign(v0.data().begin(), v0.data().end());
           dense::MatrixView v{out.data(), m, sc, m};
           dense::gemm_nn(-1.0, q.view(), r.view(), 1.0, v);
+        }});
+  }
+  for (const int s : widths) {
+    const auto sc = static_cast<index_t>(s);
+    Matrix u = random_matrix(sc, sc, 16);
+    for (index_t j = 0; j < sc; ++j) {
+      for (index_t i = j + 1; i < sc; ++i) u(i, j) = 0.0;
+      u(j, j) = 4.0 + std::abs(u(j, j));  // well-conditioned triangle
+    }
+    Matrix v0 = random_matrix(m, sc, 17);
+    cases.push_back(Case{
+        "trsm", std::to_string(m) + "x" + std::to_string(s),
+        1.0 * m * s * s,
+        [u = std::move(u), v0 = std::move(v0), m,
+         sc](std::vector<double>& out) {
+          // In place, so every run restores V (an O(m s) copy).
+          out.assign(v0.data().begin(), v0.data().end());
+          dense::MatrixView v{out.data(), m, sc, m};
+          dense::trsm_right_upper(u.view(), v);
+        }});
+  }
+  constexpr index_t panel_m = 32768;
+  for (const index_t q0 : {5, 30, 55}) {
+    const index_t p = q0 + 5;
+    Matrix qv = random_matrix(panel_m, p, 18);
+    cases.push_back(Case{
+        "gemm_tn_panel",
+        std::to_string(panel_m) + "x" + std::to_string(p) + "x5",
+        2.0 * panel_m * p * 5,
+        [qv = std::move(qv), p](std::vector<double>& out) {
+          out.assign(static_cast<std::size_t>(p) * 5, 0.0);
+          dense::MatrixView g{out.data(), p, 5, p};
+          dense::gemm_tn(1.0, qv.view(), qv.view().columns(p - 5, 5), 0.0, g);
         }});
   }
   // Wide-panel (block rhs=k) shapes: same kernels, flat panel width

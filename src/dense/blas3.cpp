@@ -17,25 +17,57 @@ namespace {
 constexpr index_t kRowBlock = 256;
 static_assert(par::kReduceChunk % static_cast<std::size_t>(kRowBlock) == 0);
 
-// Small-operand (panel-width) tile: gemm_nn's inner dimension and
-// gemm_tn's output-row dimension are the flat panel width, which the
-// block (rhs=k) solver grows to s*k and the two-stage flush to bs*k —
-// wide enough that streaming every small-operand column per C tile
-// spills L2.  Tiling at 64 columns keeps a 256 x 64 operand tile
-// (128 KiB) hot across the other operand's sweep.  EVEN on purpose:
-// tile boundaries then never split a fused_axpy2 / dot2 pair, and the
-// per-element accumulation order stays exactly the untiled ascending
-// order, so results are bitwise-unchanged at every shape.
+// Small-operand (panel-width) tile over gemm_nn's inner dimension, the
+// flat panel width, which the block (rhs=k) solver grows to s*k and the
+// two-stage flush to bs*k — wide enough that streaming every A column
+// per C tile spills L2.  Tiling at 64 columns keeps a 256 x 64 A tile
+// (128 KiB) hot across C's columns.  Tile boundaries move no bits: C
+// passes through memory between tiles and every element keeps its own
+// accumulation chain.
 constexpr index_t kColBlock = 64;
-static_assert(kColBlock % 2 == 0);
 
-// Below this many m * p * n multiply-adds, gemm_tn's chunked reduction
-// runs inline: pool dispatch and the per-chunk partial buffer dominate
-// tall-skinny Gram shapes (1e5 x 10 is 1e7; 1e5 x 20 at 4e7 still
-// profits from threads).
-constexpr std::size_t kGemmTnSerialWork = 30'000'000;
+// Below this many m * p * n multiply-adds, gemm_tn runs its chunk
+// schedule inline instead of fanning the chunks out over the lanes.
+// Measured at 2 lanes on a 4-vCPU Sapphire Rapids KVM host (AVX-512),
+// best of 300 calls: the stage-1 Gram 32768 x (q0+5) x 5 ran 1.2-1.9x
+// faster on the lanes at every q0 in 1..56 (1.0 M to 10.0 M), and
+// 32768 x 5 x 5 (0.8 M) 1.3x; 16384 x 5 x 5 (0.4 M) ran 6% slower.
+// paper2d_9pt solve times with the bound at 0.5 M and at 1 M were
+// indistinguishable.
+constexpr std::size_t kGemmTnSerialWork = 1'000'000;
 
 constexpr index_t kW = static_cast<index_t>(simd::kLanes);
+
+// Register tiles, chosen per ISA so the accumulators of one microkernel
+// call stay in registers (32 vector registers on AVX-512 and NEON, 16 on
+// AVX2; the scalar fallback's Vec is a 4-double array), each shape the
+// fastest of a sweep at the ortho shapes (32768 rows, widths 5 to 61):
+//   kTnI x kTnJ  gemm_tn outputs, two accumulators each;
+//   kNnR x kNnJ  gemm_nn row-vectors x C columns;
+//   kTrR x kTrJ  trsm row-vectors x columns of B.
+#if defined(TSBO_SIMD_AVX512) || defined(TSBO_SIMD_NEON)
+constexpr int kTnI = 4, kTnJ = 2;
+constexpr int kNnR = 4, kNnJ = 4;
+constexpr int kTrR = 6, kTrJ = 2;
+#elif defined(TSBO_SIMD_AVX2)
+constexpr int kTnI = 3, kTnJ = 2;
+constexpr int kNnR = 2, kNnJ = 4;
+constexpr int kTrR = 3, kTrJ = 3;
+#else
+constexpr int kTnI = 1, kTnJ = 2;
+constexpr int kNnR = 2, kNnJ = 2;
+constexpr int kTrR = 3, kTrJ = 1;
+#endif
+
+// gemm_tn sweeps B in 256 x 8 tiles (16 KiB, L1-resident) so the
+// microkernel's B loads hit L1 while A's column blocks stream past.
+constexpr index_t kTnColTile = 8;
+static_assert(kTnColTile % kTnJ == 0);
+
+// gemm_nn scales a 64 x 16 block of B by alpha once per row tile into a
+// stack buffer the microkernel broadcasts from.
+constexpr index_t kNnCoefCols = 16;
+static_assert(kNnCoefCols % kNnJ == 0);
 
 // Tile positions (multiples of kRowBlock) and the vector/tail split
 // within a tile depend only on the problem size, never on the thread
@@ -65,6 +97,151 @@ void scale_columns(double beta, MatrixView c) {
       });
 }
 
+/// Calls f.template operator()<I, J>() for the runtime tile shape
+/// 1 <= i <= MaxI, 1 <= j <= MaxJ, so tails run the same compile-time
+/// microkernels as full tiles (a runtime width would spill them).
+template <int MaxI, int MaxJ, typename F>
+inline void with_tile(index_t i, index_t j, const F& f) {
+  if constexpr (MaxI > 1) {
+    if (i < MaxI) return with_tile<MaxI - 1, MaxJ>(i, j, f);
+  }
+  if constexpr (MaxJ > 1) {
+    if (j < MaxJ) return with_tile<MaxI, MaxJ - 1>(i, j, f);
+  }
+  f.template operator()<MaxI, MaxJ>();
+}
+
+inline std::size_t offset(index_t i, index_t ld) {
+  return static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
+}
+
+/// part(i, j) += a(:, i) . b(:, j) over nb rows for an I x J block of
+/// outputs (a: I columns, b: J columns; part has leading dimension ldp).
+/// Each output has its own two vector accumulators, alternating over
+/// 2*kW row steps, a single trailing kW step into the first, folded as
+/// reduce_add(va + vb), then the scalar tail: the arithmetic of a lone
+/// dot product, whatever the block shape.  Each vector of b is loaded
+/// once per row step and shared by the I outputs of its column.
+template <int I, int J>
+inline void dot_tile(const double* a, index_t lda, const double* b,
+                     index_t ldb, index_t nb, double* part, index_t ldp) {
+  simd::Vec va[I][J], vb[I][J];
+  for (int i = 0; i < I; ++i) {
+    for (int j = 0; j < J; ++j) va[i][j] = vb[i][j] = simd::zero();
+  }
+  index_t r = 0;
+  for (; r + 2 * kW <= nb; r += 2 * kW) {
+    simd::Vec x0[I], x1[I];
+    for (int i = 0; i < I; ++i) {
+      x0[i] = simd::load(a + offset(i, lda) + r);
+      x1[i] = simd::load(a + offset(i, lda) + r + kW);
+    }
+    for (int j = 0; j < J; ++j) {
+      const simd::Vec y0 = simd::load(b + offset(j, ldb) + r);
+      const simd::Vec y1 = simd::load(b + offset(j, ldb) + r + kW);
+      for (int i = 0; i < I; ++i) {
+        va[i][j] = simd::mul_add(x0[i], y0, va[i][j]);
+        vb[i][j] = simd::mul_add(x1[i], y1, vb[i][j]);
+      }
+    }
+  }
+  if (r + kW <= nb) {
+    for (int j = 0; j < J; ++j) {
+      const simd::Vec y0 = simd::load(b + offset(j, ldb) + r);
+      for (int i = 0; i < I; ++i) {
+        va[i][j] = simd::mul_add(simd::load(a + offset(i, lda) + r), y0,
+                                 va[i][j]);
+      }
+    }
+    r += kW;
+  }
+  for (int j = 0; j < J; ++j) {
+    const double* bj = b + offset(j, ldb);
+    for (int i = 0; i < I; ++i) {
+      const double* ai = a + offset(i, lda);
+      double t = simd::reduce_add(simd::add(va[i][j], vb[i][j]));
+      for (index_t q = r; q < nb; ++q) t += ai[q] * bj[q];
+      part[offset(j, ldp) + static_cast<std::size_t>(i)] += t;
+    }
+  }
+}
+
+/// c(:, j) += coef(l, j) * a(:, l) for l in [0, nl), over RV * kW rows
+/// and J columns of C (coef: l-major, row stride kNnCoefCols).  The C
+/// block stays in registers while l runs, so each element is one FMA
+/// chain in ascending l; every step costs one load of a per row-vector
+/// and one broadcast per column.
+template <int RV, int J>
+inline void update_tile(const double* a, index_t lda, index_t nl,
+                        const double* coef, double* c, index_t ldc) {
+  simd::Vec acc[RV][J];
+  for (int j = 0; j < J; ++j) {
+    for (int v = 0; v < RV; ++v) {
+      acc[v][j] = simd::load(c + offset(j, ldc) + v * kW);
+    }
+  }
+  for (index_t l = 0; l < nl; ++l) {
+    const double* al = a + offset(l, lda);
+    simd::Vec x[RV];
+    for (int v = 0; v < RV; ++v) x[v] = simd::load(al + v * kW);
+    const double* cl = coef + offset(l, kNnCoefCols);
+    for (int j = 0; j < J; ++j) {
+      const simd::Vec s = simd::set1(cl[j]);
+      for (int v = 0; v < RV; ++v) {
+        acc[v][j] = simd::mul_add(s, x[v], acc[v][j]);
+      }
+    }
+  }
+  for (int j = 0; j < J; ++j) {
+    for (int v = 0; v < RV; ++v) {
+      simd::store(c + offset(j, ldc) + v * kW, acc[v][j]);
+    }
+  }
+}
+
+/// Columns [j0, j0 + J) of B := B U^{-1} over RV * kW rows (b: the rows'
+/// column 0), with the earlier columns already final in memory.  Each
+/// element is an FMA chain with -u(l, j) in ascending l that skips
+/// u(l, j) == 0, ended by a multiply by 1/u(j, j); the block's own
+/// columns feed its later ones from registers.
+template <int RV, int J>
+inline void trsm_tile(ConstMatrixView u, double* b, index_t ldb, index_t j0) {
+  simd::Vec acc[RV][J];
+  for (int j = 0; j < J; ++j) {
+    for (int v = 0; v < RV; ++v) {
+      acc[v][j] = simd::load(b + offset(j0 + j, ldb) + v * kW);
+    }
+  }
+  for (index_t l = 0; l < j0; ++l) {
+    const double* bl = b + offset(l, ldb);
+    simd::Vec x[RV];
+    for (int v = 0; v < RV; ++v) x[v] = simd::load(bl + v * kW);
+    for (int j = 0; j < J; ++j) {
+      const double ulj = u(l, j0 + j);
+      if (ulj == 0.0) continue;
+      const simd::Vec s = simd::set1(-ulj);
+      for (int v = 0; v < RV; ++v) {
+        acc[v][j] = simd::mul_add(s, x[v], acc[v][j]);
+      }
+    }
+  }
+  for (int j = 0; j < J; ++j) {
+    for (int l = 0; l < j; ++l) {
+      const double ulj = u(j0 + l, j0 + j);
+      if (ulj == 0.0) continue;
+      const simd::Vec s = simd::set1(-ulj);
+      for (int v = 0; v < RV; ++v) {
+        acc[v][j] = simd::mul_add(s, acc[v][l], acc[v][j]);
+      }
+    }
+    const simd::Vec vinv = simd::set1(1.0 / u(j0 + j, j0 + j));
+    for (int v = 0; v < RV; ++v) {
+      acc[v][j] = simd::mul(vinv, acc[v][j]);
+      simd::store(b + offset(j0 + j, ldb) + v * kW, acc[v][j]);
+    }
+  }
+}
+
 /// cj[0, nb) += b0 * a0[0, nb) + b1 * a1[0, nb), fused per element.
 inline void fused_axpy2(double b0, const double* a0, double b1,
                         const double* a1, double* cj, index_t nb) {
@@ -91,37 +268,6 @@ inline void fused_axpy1(double b0, const double* a0, double* cj, index_t nb) {
                 simd::mul_add(v0, simd::load(a0 + i), simd::load(cj + i)));
   }
   for (; i < nb; ++i) cj[i] = simd::mul_add(b0, a0[i], cj[i]);
-}
-
-/// Two dot products (a0 . b), (a1 . b) over [0, nb) sharing the
-/// streamed b tile: two vector accumulators per product, folded in a
-/// fixed order, scalar tail appended last.
-inline void dot2(const double* a0, const double* a1, const double* bj,
-                 index_t nb, double& s0, double& s1) {
-  simd::Vec v0a = simd::zero(), v0b = simd::zero();
-  simd::Vec v1a = simd::zero(), v1b = simd::zero();
-  index_t r = 0;
-  for (; r + 2 * kW <= nb; r += 2 * kW) {
-    const simd::Vec b0 = simd::load(bj + r);
-    const simd::Vec b1 = simd::load(bj + r + kW);
-    v0a = simd::mul_add(simd::load(a0 + r), b0, v0a);
-    v0b = simd::mul_add(simd::load(a0 + r + kW), b1, v0b);
-    v1a = simd::mul_add(simd::load(a1 + r), b0, v1a);
-    v1b = simd::mul_add(simd::load(a1 + r + kW), b1, v1b);
-  }
-  for (; r + kW <= nb; r += kW) {
-    const simd::Vec b0 = simd::load(bj + r);
-    v0a = simd::mul_add(simd::load(a0 + r), b0, v0a);
-    v1a = simd::mul_add(simd::load(a1 + r), b0, v1a);
-  }
-  double t0 = simd::reduce_add(simd::add(v0a, v0b));
-  double t1 = simd::reduce_add(simd::add(v1a, v1b));
-  for (; r < nb; ++r) {
-    t0 += a0[r] * bj[r];
-    t1 += a1[r] * bj[r];
-  }
-  s0 = t0;
-  s1 = t1;
 }
 
 inline double dot1(const double* a0, const double* bj, index_t nb) {
@@ -155,25 +301,47 @@ void gemm_nn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
       [&](std::size_t rb, std::size_t re) {
         const auto r0lo = static_cast<index_t>(rb);
         const auto r0hi = static_cast<index_t>(re);
+        double coef[kColBlock * kNnCoefCols];
         for (index_t i0 = r0lo; i0 < r0hi; i0 += kRowBlock) {
           const index_t ib = std::min(kRowBlock, r0hi - i0);
-          // Inner-dimension tiles (even boundaries, see kColBlock): the
-          // 256 x 64 A tile stays hot across all of C's columns, and
-          // because tiles never split an axpy pair the per-element
-          // accumulation order is the untiled ascending order exactly.
+          const index_t nvec = ib / kW;
+          // Inner-dimension tiles: the 256 x 64 A tile stays hot across
+          // all of C's columns; C passes through memory between tiles,
+          // which keeps every element's chain in ascending l.
           for (index_t l0 = 0; l0 < k; l0 += kColBlock) {
-            const index_t lhi = std::min(k, l0 + kColBlock);
-            for (index_t j = 0; j < n; ++j) {
-              double* cj = c.col(j) + i0;
-              // Unroll the accumulation over pairs of inner columns:
-              // halves the number of passes over the C tile.
-              index_t l = l0;
-              for (; l + 1 < lhi; l += 2) {
-                fused_axpy2(alpha * b(l, j), a.col(l) + i0,
-                            alpha * b(l + 1, j), a.col(l + 1) + i0, cj, ib);
+            const index_t nl = std::min(kColBlock, k - l0);
+            for (index_t jt = 0; jt < n; jt += kNnCoefCols) {
+              const index_t njt = std::min(kNnCoefCols, n - jt);
+              for (index_t l = 0; l < nl; ++l) {
+                for (index_t j = 0; j < njt; ++j) {
+                  coef[offset(l, kNnCoefCols) + j] = alpha * b(l0 + l, jt + j);
+                }
               }
-              for (; l < lhi; ++l) {
-                fused_axpy1(alpha * b(l, j), a.col(l) + i0, cj, ib);
+              const double* al0 = a.col(l0) + i0;
+              for (index_t v0 = 0; v0 < nvec; v0 += kNnR) {
+                const index_t nv = std::min<index_t>(kNnR, nvec - v0);
+                for (index_t j0 = 0; j0 < njt; j0 += kNnJ) {
+                  with_tile<kNnR, kNnJ>(
+                      nv, std::min<index_t>(kNnJ, njt - j0),
+                      [&]<int RV, int J>() {
+                        update_tile<RV, J>(al0 + v0 * kW, a.ld, nl, coef + j0,
+                                           c.col(jt + j0) + i0 + v0 * kW,
+                                           c.ld);
+                      });
+                }
+              }
+              // Rows past the last whole vector: the same chains, scalar.
+              for (index_t j = 0; j < njt; ++j) {
+                double* cj = c.col(jt + j) + i0;
+                for (index_t i = nvec * kW; i < ib; ++i) {
+                  const double* ai = al0 + i;
+                  double t = cj[i];
+                  for (index_t l = 0; l < nl; ++l) {
+                    t = simd::mul_add(coef[offset(l, kNnCoefCols) + j],
+                                      ai[offset(l, a.ld)], t);
+                  }
+                  cj[i] = t;
+                }
               }
             }
           }
@@ -199,31 +367,23 @@ void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
       par::reduce_chunk_count(static_cast<std::size_t>(m));
 
   // Accumulates rows [rlo, rhi) of the Gram block into `part`
-  // (column-major p x n).
+  // (column-major p x n).  Each part(i, j) receives exactly one addend
+  // per r0 tile, in ascending r0 order, whatever the register tiling.
   const auto accumulate = [&](double* part, index_t rlo, index_t rhi) {
     for (index_t r0 = rlo; r0 < rhi; r0 += kRowBlock) {
       const index_t nb = std::min(kRowBlock, rhi - r0);
-      // Output-row tiles over A's columns (even boundaries, see
-      // kColBlock): the 256 x 64 A tile is reused across every B
-      // column instead of re-streaming all p columns per j.  Each
-      // pj[i] still receives exactly one addend per r0 tile in
-      // ascending r0 order, and tiles never split a dot2 pair, so the
-      // result is bitwise the untiled one.
-      for (index_t i0 = 0; i0 < p; i0 += kColBlock) {
-        const index_t ihi = std::min(p, i0 + kColBlock);
-        for (index_t j = 0; j < n; ++j) {
-          const double* bj = b.col(j) + r0;
-          double* pj = part + static_cast<std::size_t>(j) * p;
-          index_t i = i0;
-          // Two output dot-products per pass share the streamed bj tile.
-          for (; i + 1 < ihi; i += 2) {
-            double s0 = 0.0, s1 = 0.0;
-            dot2(a.col(i) + r0, a.col(i + 1) + r0, bj, nb, s0, s1);
-            pj[i] += s0;
-            pj[i + 1] += s1;
-          }
-          for (; i < ihi; ++i) {
-            pj[i] += dot1(a.col(i) + r0, bj, nb);
+      // Output-column tiles over B: the 256 x kTnColTile B tile stays in
+      // L1 while every A column block streams past it once.
+      for (index_t jt = 0; jt < n; jt += kTnColTile) {
+        const index_t jhi = std::min(n, jt + kTnColTile);
+        for (index_t i0 = 0; i0 < p; i0 += kTnI) {
+          const index_t ni = std::min<index_t>(kTnI, p - i0);
+          for (index_t j0 = jt; j0 < jhi; j0 += kTnJ) {
+            with_tile<kTnI, kTnJ>(
+                ni, std::min<index_t>(kTnJ, jhi - j0), [&]<int I, int J>() {
+                  dot_tile<I, J>(a.col(i0) + r0, a.ld, b.col(j0) + r0, b.ld,
+                                 nb, part + offset(j0, p) + i0, p);
+                });
           }
         }
       }
@@ -237,13 +397,11 @@ void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
     }
   };
 
-  // Tall-skinny fast path: at the narrow Gram shapes (s ~ 10) the
-  // per-chunk work is a few hundred kiloflops, and pool dispatch plus
-  // the nchunks * pn partial buffer cost more than the multiply does —
-  // threads = 2 ran ~25% BELOW threads = 1 at 100000x10.  Run the same
-  // chunk schedule inline, folding each chunk through one reused
-  // partial block in ascending order (arithmetic identical to the
-  // threaded combine).
+  // Small shapes run the same chunk schedule inline, folding each chunk
+  // through one reused partial block in ascending order (arithmetic
+  // identical to the threaded combine): below kGemmTnSerialWork, pool
+  // dispatch and the nchunks * pn partial buffer cost more than the
+  // lanes save.
   if (static_cast<std::size_t>(m) * pn < kGemmTnSerialWork) {
     util::aligned_vector<double> part(pn);
     for (std::size_t ci = 0; ci < nchunks; ++ci) {
@@ -259,7 +417,8 @@ void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
 
   // Pad each per-chunk partial block to a 64-byte boundary so chunks
   // written by different threads never share a cache line; the combine
-  // reads only the first pn entries of each block.
+  // reads only the first pn entries of each block.  A single-lane
+  // caller runs these chunks inline too.
   const std::size_t stride = (pn + 7) & ~std::size_t{7};
   util::aligned_vector<double> partials(nchunks * stride, 0.0);
   par::for_reduce_chunks(
@@ -312,20 +471,30 @@ void trsm_right_upper(ConstMatrixView u, MatrixView b) {
         const auto rhi = static_cast<index_t>(re);
         for (index_t i0 = rlo; i0 < rhi; i0 += kRowBlock) {
           const index_t ib = std::min(kRowBlock, rhi - i0);
-          for (index_t j = 0; j < s; ++j) {
-            double* bj = b.col(j) + i0;
-            for (index_t l = 0; l < j; ++l) {
-              const double ulj = u(l, j);
-              if (ulj == 0.0) continue;
-              fused_axpy1(-ulj, b.col(l) + i0, bj, ib);
+          const index_t nvec = ib / kW;
+          // Row strips of kTrR vectors sweep all s columns, kTrJ at a
+          // time, while the strip's finished columns stay in L1.
+          for (index_t v0 = 0; v0 < nvec; v0 += kTrR) {
+            const index_t nv = std::min<index_t>(kTrR, nvec - v0);
+            double* strip = b.data + i0 + v0 * kW;
+            for (index_t j0 = 0; j0 < s; j0 += kTrJ) {
+              with_tile<kTrR, kTrJ>(
+                  nv, std::min<index_t>(kTrJ, s - j0), [&]<int RV, int J>() {
+                    trsm_tile<RV, J>(u, strip, b.ld, j0);
+                  });
             }
-            const double inv = 1.0 / u(j, j);
-            const simd::Vec vinv = simd::set1(inv);
-            index_t i = 0;
-            for (; i + kW <= ib; i += kW) {
-              simd::store(bj + i, simd::mul(vinv, simd::load(bj + i)));
+          }
+          // Rows past the last whole vector: the same chains, scalar.
+          for (index_t i = i0 + nvec * kW; i < i0 + ib; ++i) {
+            for (index_t j = 0; j < s; ++j) {
+              double t = b(i, j);
+              for (index_t l = 0; l < j; ++l) {
+                const double ulj = u(l, j);
+                if (ulj == 0.0) continue;
+                t = simd::mul_add(-ulj, b(i, l), t);
+              }
+              b(i, j) = t * (1.0 / u(j, j));
             }
-            for (; i < ib; ++i) bj[i] *= inv;
           }
         }
       });

@@ -10,6 +10,28 @@
 // row tiles via par::ThreadPool.  Reductions (gemm_tn, frobenius_norm)
 // follow the fixed-chunk deterministic scheme of par/config.hpp, so
 // results are bit-identical at any thread count.
+//
+// gemm_tn, gemm_nn and trsm_right_upper run register-blocked
+// microkernels whose tile shapes are per-ISA compile-time constants.
+// The blocking never changes an element's arithmetic, which is fixed
+// as follows (kW = simd::kLanes):
+//   gemm_tn  per 256-row tile, each output (i, j) has two vector
+//            accumulators that alternate over 2*kW-row steps; a single
+//            remaining kW step goes into the first; they fold as
+//            reduce_add(add(va, vb)), then a scalar tail t += a*b.  The
+//            tile's sum is added to the chunk partial once, tiles in
+//            ascending order; 4096-row chunk partials are added to C as
+//            C += alpha * partial in ascending chunk order, after the
+//            beta prologue.
+//   gemm_nn  after the beta prologue, each element is one FMA chain in
+//            ascending l with the coefficient alpha * b(l, j).
+//   trsm     each element is an FMA chain with -u(l, j) in ascending l,
+//            skipping every (l, j) with u(l, j) == 0.0, ended by a
+//            multiply by 1.0 / u(j, j).
+// gemm_tn runs its chunks inline below 1 M multiply-adds (m * p * n),
+// and on the calling rank's lanes from there up; a single-lane rank or
+// a nested caller runs the same chunk schedule inline.  Either way the
+// bits are the same.
 
 #include "dense/matrix.hpp"
 

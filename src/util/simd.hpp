@@ -84,12 +84,17 @@ inline Vec fms_exact(Vec a, Vec b, Vec c) {
   return {_mm512_fmsub_pd(a.v, b.v, c.v)};
 }
 inline Vec abs(Vec a) { return {_mm512_abs_pd(a.v)}; }
-inline Vec max(Vec a, Vec b) { return {_mm512_max_pd(a.v, b.v)}; }
+/// Zero-masked with an all-ones mask: every lane is max(a, b), and GCC 12
+/// does not flag the unmasked form's undefined pass-through source.
+inline Vec max(Vec a, Vec b) { return {_mm512_maskz_max_pd(0xFF, a.v, b.v)}; }
 /// Loads lanes base[idx[0..kLanes)] (32-bit indices, CSR ordinals).
+/// The masked form with a zero source and an all-ones mask loads every
+/// lane (same values as the unmasked gather) and avoids GCC 12's false
+/// "'__Y' may be used uninitialized" on the unmasked intrinsic.
 inline Vec gather(const double* base, const std::int32_t* idx) {
   const __m256i vi =
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-  return {_mm512_i32gather_pd(vi, base, 8)};
+  return {_mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, vi, base, 8)};
 }
 
 #elif defined(TSBO_SIMD_AVX2)
@@ -117,9 +122,11 @@ inline Vec abs(Vec a) {
   return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
 }
 inline Vec max(Vec a, Vec b) { return {_mm256_max_pd(a.v, b.v)}; }
+/// Masked all-lanes gather, as on AVX-512.
 inline Vec gather(const double* base, const std::int32_t* idx) {
   const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-  return {_mm256_i32gather_pd(base, vi, 8)};
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return {_mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, vi, all, 8)};
 }
 
 #elif defined(TSBO_SIMD_NEON)
