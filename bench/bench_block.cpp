@@ -22,7 +22,7 @@
 //
 // Verified invariants (exit 1 on violation):
 //   * every batched report carries per-RHS results[] of length k and
-//     the tsbo.solve_report/8 schema tag;
+//     the tsbo.solve_report/9 schema tag;
 //   * exactly one operator-cache acquisition per job: after the first
 //     job the cache never misses (one hit per batch, not per RHS);
 //   * the k=1 batch solution is bitwise-identical to the plain

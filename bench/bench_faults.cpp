@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
 
   service::ServiceConfig cfg;
   cfg.label = "bench_faults";
-  cfg.retry_backoff_ms = 1;
   service::SolverService svc(cfg);
 
   // Clean reference for the bitwise check.

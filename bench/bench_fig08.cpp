@@ -17,7 +17,7 @@
 // with CholeskyBreakdown, the same problem with autopilot=1 completes
 // the solve (shrinking s / escalating the Gram / re-basing as the
 // conditioning monitor demands).  --json dumps the autopilot run's
-// SolveReport (schema tsbo.solve_report/8) for the CI gate.
+// SolveReport (schema tsbo.solve_report/9) for the CI gate.
 //
 //   bench_fig08 [--n=20000] [--m=180] [--bs=60] [--s=5]
 //               [--json=fig08.json]
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   r(0, 0) = 1.0;
 
   auto mgr = ortho::make_two_stage_manager(bs);
-  mgr->reset();
+  mgr->reset(1);
   ortho::OrthoContext ctx;
   ctx.policy = ortho::BreakdownPolicy::kShift;
 

@@ -66,7 +66,7 @@ Trace run_trace(const sparse::CsrMatrix& a, index_t m, index_t s, index_t bs,
   ortho::OrthoContext ctx;
   ctx.policy = ortho::BreakdownPolicy::kShift;
   auto mgr = ortho::make_two_stage_manager(bs);
-  mgr->reset();
+  mgr->reset(1);
 
   const krylov::KrylovBasis kb = krylov::KrylovBasis::monomial(m);
 

@@ -117,8 +117,7 @@ Registry<PrecondEntry> make_precond_registry() {
         "local Chebyshev polynomial (precond_degree; explicit interval via "
         "precond_lambda_min/max, else power-method estimate)";
     e.make = [](const SolverOptions& opts, const sparse::DistCsr& a) {
-      if (opts.precond_lambda_max > opts.precond_lambda_min &&
-          opts.precond_lambda_max > 0.0) {
+      if (chebyshev_explicit_interval(opts)) {
         return std::unique_ptr<precond::Preconditioner>(
             std::make_unique<precond::ChebyshevPolynomial>(
                 a, opts.precond_degree, opts.precond_lambda_min,
@@ -245,6 +244,11 @@ Registry<MatrixEntry> make_matrix_registry() {
 }
 
 }  // namespace
+
+bool chebyshev_explicit_interval(const SolverOptions& opts) {
+  return opts.precond_lambda_max > opts.precond_lambda_min &&
+         opts.precond_lambda_max > 0.0;
+}
 
 Registry<OrthoEntry>& ortho_registry() {
   static Registry<OrthoEntry> reg = make_ortho_registry();

@@ -108,6 +108,11 @@ struct PrecondEntry {
       make;
 };
 
+/// Whether the options give the chebyshev preconditioner an explicit
+/// eigenvalue interval (precond_lambda_min/max).  Otherwise its setup
+/// estimates one with precond::kChebyshevPowerIters power-method steps.
+[[nodiscard]] bool chebyshev_explicit_interval(const SolverOptions& opts);
+
 /// Matrix source: builds the (replicated) system matrix from the
 /// options' geometry/size keys.
 struct MatrixEntry {

@@ -3,14 +3,7 @@
 namespace tsbo::api {
 
 OrthoBreakdown breakdown_of(const krylov::SolveResult& r) {
-  OrthoBreakdown b;
-  b.dot = r.timers.seconds("ortho/dot");
-  b.reduce = r.timers.seconds("ortho/reduce");
-  b.update = r.timers.seconds("ortho/update");
-  b.factor = r.timers.seconds("ortho/chol") + r.timers.seconds("ortho/trsm") +
-             r.timers.seconds("ortho/hhqr");
-  b.small = r.timers.seconds("ortho/small");
-  return b;
+  return r.timers.ortho();
 }
 
 void SolveReport::write_json(util::JsonWriter& w) const {
@@ -96,8 +89,11 @@ void SolveReport::write_json(util::JsonWriter& w) const {
 
   // Every raw phase bucket (critical-path max across ranks).
   w.key("phase_seconds").begin_object();
-  for (const std::string& name : result.timers.names()) {
-    w.kv(name, result.timers.seconds(name));
+  for (std::size_t i = 0; i < util::kPhaseCount; ++i) {
+    const auto p = static_cast<util::Phase>(i);
+    if (result.timers.count(p) > 0) {
+      w.kv(std::string(util::name(p)), result.timers.seconds(p));
+    }
   }
   w.end_object();
 
@@ -120,9 +116,7 @@ void SolveReport::write_json(util::JsonWriter& w) const {
       .kv("queue_seconds", service.queue_seconds)
       .kv("setup_seconds", service.setup_seconds);
   w.key("reused").begin_object();
-  w.kv("matrix", service.reused_matrix)
-      .kv("partition", service.reused_partition)
-      .kv("precond_setup", service.reused_precond_setup)
+  w.kv("precond_setup", service.reused_precond_setup)
       .kv("rhs", service.reused_rhs);
   w.end_object();
   w.kv("cache_key", service.cache_key);

@@ -5,7 +5,7 @@
 // provenance — the options echo, matrix statistics, rank/thread counts,
 // per-phase timers, communication counters, and the per-restart
 // residual history captured by the facade's observer — and serializes
-// to JSON (schema "tsbo.solve_report/8", golden-checked by
+// to JSON (schema "tsbo.solve_report/9", golden-checked by
 // tests/test_api.cpp).  ReportLog accumulates reports so every bench
 // binary can emit a uniform --json=<path> artifact.
 
@@ -59,8 +59,10 @@ namespace tsbo::api {
 /// so one corrupted column is attributable.  /8: the result section
 /// dropped the always-zero lookahead_hits / lookahead_misses (the
 /// speculative next-panel MPK is gone), and the comm section dropped
-/// injected_seconds, the alias of exposed_seconds.
-inline constexpr const char* kSolveReportSchema = "tsbo.solve_report/8";
+/// injected_seconds, the alias of exposed_seconds.  /9: the service
+/// reused object dropped matrix / partition, aliases of cache_hit (the
+/// assembled CSR, DistCsr pieces and comm plan are one cache entry).
+inline constexpr const char* kSolveReportSchema = "tsbo.solve_report/9";
 inline constexpr const char* kReportLogSchema = "tsbo.report_log/1";
 
 struct MatrixStats {
@@ -82,17 +84,8 @@ struct RestartRecord {
 };
 
 /// The ortho-phase buckets the paper's breakdown figures plot
-/// (Figs. 10-12).
-struct OrthoBreakdown {
-  double dot = 0.0;     ///< local block dot products
-  double reduce = 0.0;  ///< global all-reduces (incl. modeled latency)
-  double update = 0.0;  ///< vector updates (GEMM)
-  double factor = 0.0;  ///< Cholesky + TRSM (+ HHQR)
-  double small = 0.0;   ///< Hessenberg/Givens bookkeeping
-  [[nodiscard]] double total() const {
-    return dot + reduce + update + factor + small;
-  }
-};
+/// (Figs. 10-12); breakdown_of(r).total() == r.time_ortho().
+using OrthoBreakdown = util::OrthoBreakdown;
 
 OrthoBreakdown breakdown_of(const krylov::SolveResult& r);
 
@@ -105,8 +98,6 @@ struct ServiceStats {
   bool warm_started = false; ///< x0 seeded from a previous solution
   double queue_seconds = 0.0;  ///< submit -> dispatch wait
   double setup_seconds = 0.0;  ///< operator build paid by this job
-  bool reused_matrix = false;         ///< assembled CSR reused
-  bool reused_partition = false;      ///< DistCsr + comm plan reused
   bool reused_precond_setup = false;  ///< coloring / eigen estimate reused
   bool reused_rhs = false;            ///< cached ones-RHS reused
   std::string cache_key;  ///< operator-cache key echo ("" off-service)

@@ -63,13 +63,6 @@ sparse::CsrMatrix make_matrix(const SolverOptions& opts, std::string* label) {
   return a;
 }
 
-Solver& Solver::set_matrix(sparse::CsrMatrix a, std::string label) {
-  owned_matrix_ = std::move(a);
-  matrix_ = &owned_matrix_;
-  matrix_label_ = std::move(label);
-  return *this;
-}
-
 Solver& Solver::set_matrix_ref(const sparse::CsrMatrix& a, std::string label) {
   matrix_ = &a;
   matrix_label_ = std::move(label);
@@ -233,9 +226,9 @@ SolveReport Solver::solve() {
         rec.relres = ev.relres;
         rec.explicit_relres = ev.explicit_relres;
         if (ev.timers != nullptr) {
-          rec.seconds_spmv = krylov::spmv_seconds(*ev.timers);
-          rec.seconds_precond = krylov::precond_seconds(*ev.timers);
-          rec.seconds_ortho = krylov::ortho_seconds(*ev.timers);
+          rec.seconds_spmv = ev.timers->seconds(util::PaperPhase::kSpmv);
+          rec.seconds_precond = ev.timers->seconds(util::PaperPhase::kPrecond);
+          rec.seconds_ortho = ev.timers->ortho().total();
         }
         history.push_back(rec);
         if (user_callback_) user_callback_(ev);

@@ -61,10 +61,8 @@ class Solver {
   [[nodiscard]] const SolverOptions& options() const { return opts_; }
 
   /// Injects the system matrix instead of building it from the matrix
-  /// keys.  The owning overload copies/moves; set_matrix_ref() borrows
-  /// (the caller keeps `a` alive across solve() — the bench sweeps use
-  /// this to share one matrix over many runs).
-  Solver& set_matrix(sparse::CsrMatrix a, std::string label = "injected");
+  /// keys.  Borrowed: the caller keeps `a` alive across solve() (the
+  /// bench sweeps use this to share one matrix over many runs).
   Solver& set_matrix_ref(const sparse::CsrMatrix& a,
                          std::string label = "injected");
 

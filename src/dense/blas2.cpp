@@ -38,17 +38,6 @@ void gemv_t(double alpha, ConstMatrixView a, std::span<const double> x,
   }
 }
 
-void ger(double alpha, std::span<const double> x, std::span<const double> y,
-         MatrixView a) {
-  assert(static_cast<index_t>(x.size()) == a.rows);
-  assert(static_cast<index_t>(y.size()) == a.cols);
-  for (index_t j = 0; j < a.cols; ++j) {
-    const double ay = alpha * y[j];
-    double* col = a.col(j);
-    for (index_t i = 0; i < a.rows; ++i) col[i] += ay * x[i];
-  }
-}
-
 void trsv_upper(ConstMatrixView u, std::span<double> x) {
   assert(u.rows == u.cols);
   assert(static_cast<index_t>(x.size()) == u.rows);

@@ -16,10 +16,6 @@ void gemv(double alpha, ConstMatrixView a, std::span<const double> x,
 void gemv_t(double alpha, ConstMatrixView a, std::span<const double> x,
             double beta, std::span<double> y);
 
-/// A += alpha * x y^T
-void ger(double alpha, std::span<const double> x, std::span<const double> y,
-         MatrixView a);
-
 /// Solves U x = b in place (U upper triangular, non-unit diagonal).
 void trsv_upper(ConstMatrixView u, std::span<double> x);
 

@@ -41,7 +41,7 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
   dense::Matrix basis(static_cast<index_t>(nloc), cfg.m + 1);
   util::aligned_vector<double> r(nloc), tmp(nloc), z(nloc);
 
-  res.timers.start("total");
+  res.timers.start(util::Phase::kTotal);
   residual(comm, a, b, x, r, tmp, &res.timers);
   const double gamma0 = ortho::global_norm(octx, r);
   double gamma = gamma0;
@@ -96,9 +96,10 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
         ortho::mgs_step(octx, basis.view().columns(0, k + 1), w, hk);
       }
 
-      res.timers.start("ortho/small");
-      ls.append_column(hk);
-      res.timers.stop("ortho/small");
+      {
+        const util::ScopedPhase t(&res.timers, util::Phase::kOrthoSmall);
+        ls.append_column(hk);
+      }
       res.iters += 1;
 
       if (ls.residual_norm() <= cfg.rtol * ref) {
@@ -116,9 +117,10 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
     const index_t used = ls.cols();
     if (used > 0) {
       const std::vector<double> y = ls.solve_y();
-      res.timers.start("ortho/small");
-      dense::gemv(1.0, basis.view().columns(0, used), y, 0.0, z);
-      res.timers.stop("ortho/small");
+      {
+        const util::ScopedPhase t(&res.timers, util::Phase::kOrthoSmall);
+        dense::gemv(1.0, basis.view().columns(0, used), y, 0.0, z);
+      }
       const auto rows = static_cast<index_t>(nloc);
       op.apply_minv(dense::ConstMatrixView{z.data(), rows, 1, rows},
                     dense::MatrixView{tmp.data(), rows, 1, rows}, &res.timers);
@@ -139,7 +141,7 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
     }
   }
 
-  res.timers.stop("total");
+  res.timers.stop(util::Phase::kTotal);
   residual(comm, a, b, x, r, tmp, &res.timers);
   const double final_norm = ortho::global_norm(octx, r);
   res.true_relres = ref > 0.0 ? final_norm / ref : 0.0;

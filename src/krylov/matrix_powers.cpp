@@ -24,12 +24,11 @@ void PrecOperator::apply_minv(dense::ConstMatrixView x, dense::MatrixView y,
     dense::copy(x, y);
     return;
   }
-  if (timers) timers->start("precond");
+  const util::ScopedPhase t(timers, util::Phase::kPrecond);
   m_->apply_multi(static_cast<std::size_t>(x.rows),
                   static_cast<std::size_t>(x.cols), x.data,
                   static_cast<std::size_t>(x.ld), y.data,
                   static_cast<std::size_t>(y.ld));
-  if (timers) timers->stop("precond");
 }
 
 void matrix_powers(par::Communicator& comm, const PrecOperator& op,

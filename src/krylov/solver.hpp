@@ -16,9 +16,8 @@ using dense::index_t;
 /// Snapshot handed to a solver's per-restart observer (progress
 /// reporting, residual-history capture).  `timers` points at the live
 /// per-rank accumulator: valid only for the duration of the callback.
-/// Note the "total" bucket is still running at a restart boundary —
-/// snapshot the phase buckets (ortho/*, spmv/*, precond), which are
-/// closed between events.
+/// Note the Phase::kTotal bucket is still running at a restart boundary
+/// — snapshot the other buckets, which are closed between events.
 struct ProgressEvent {
   long iters = 0;       ///< cumulative inner iterations
   int restarts = 0;     ///< completed restart cycles
@@ -35,22 +34,6 @@ struct ProgressEvent {
 /// the callback (the api facade installs it on rank 0 only).  Must be
 /// cheap: it runs inside the timed solve.
 using ProgressCallback = std::function<void(const ProgressEvent&)>;
-
-/// Sums over the phase-timer buckets (seconds).  The single source of
-/// truth for which buckets make up each paper-level phase — shared by
-/// SolveResult's accessors and the api layer's per-restart snapshots.
-[[nodiscard]] inline double spmv_seconds(const util::PhaseTimers& t) {
-  return t.seconds("spmv/comm") + t.seconds("spmv/local");
-}
-[[nodiscard]] inline double precond_seconds(const util::PhaseTimers& t) {
-  return t.seconds("precond");
-}
-[[nodiscard]] inline double ortho_seconds(const util::PhaseTimers& t) {
-  return t.seconds("ortho/dot") + t.seconds("ortho/reduce") +
-         t.seconds("ortho/update") + t.seconds("ortho/trsm") +
-         t.seconds("ortho/chol") + t.seconds("ortho/hhqr") +
-         t.seconds("ortho/small");
-}
 
 /// One stability-autopilot decision, recorded by sstep_gmres when
 /// SStepGmresConfig::autopilot is enabled.  Every decision is driven by
@@ -124,11 +107,17 @@ struct SolveResult {
   /// relres/true_relres = the worst column's.
   std::vector<RhsResult> rhs_results;
 
-  /// Convenience sums over the timer buckets (seconds).
-  [[nodiscard]] double time_spmv() const { return spmv_seconds(timers); }
-  [[nodiscard]] double time_precond() const { return precond_seconds(timers); }
-  [[nodiscard]] double time_ortho() const { return ortho_seconds(timers); }
-  [[nodiscard]] double time_total() const { return timers.seconds("total"); }
+  /// Paper-phase sums over the timer buckets (seconds).
+  [[nodiscard]] double time_spmv() const {
+    return timers.seconds(util::PaperPhase::kSpmv);
+  }
+  [[nodiscard]] double time_precond() const {
+    return timers.seconds(util::PaperPhase::kPrecond);
+  }
+  [[nodiscard]] double time_ortho() const { return timers.ortho().total(); }
+  [[nodiscard]] double time_total() const {
+    return timers.seconds(util::PaperPhase::kTotal);
+  }
 };
 
 }  // namespace tsbo::krylov

@@ -265,7 +265,7 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     res.converged = active.empty();
   };
 
-  res.timers.start("total");
+  res.timers.start(util::Phase::kTotal);
   residual(active);
   {
     // Convergence reference: the initial-residual norm by default (for
@@ -319,21 +319,20 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     const dense::MatrixView rv = rmat.block(0, 0, (m + 1) * bw, (m + 1) * bw);
     const dense::MatrixView lv = lmat.block(0, 0, (m + 1) * bw, (m + 1) * bw);
     const dense::MatrixView hv = hmat.block(0, 0, (m + 1) * bw, m * bw);
-    manager->reset_cycle(bw);
+    manager->reset(bw);
     dense::BlockHessenbergLeastSquares ls(m * bw, bw, s0);
 
     index_t assembled = 0;   // flat Hessenberg columns appended so far
     index_t generated = bw;  // flat basis columns stage-1-processed so far
     const auto append_new_columns = [&](index_t nfinal) {
       if (nfinal - bw <= assembled) return false;
-      res.timers.start("ortho/small");
+      const util::ScopedPhase t(&res.timers, util::Phase::kOrthoSmall);
       assemble_hessenberg(rv, lv, kbasis, s_cur, assembled, nfinal - bw, hv,
                           bw);
       for (index_t c = assembled; c < nfinal - bw; ++c) {
         ls.append_column(std::span<const double>(
             hv.col(c), static_cast<std::size_t>(c + bw + 1)));
       }
-      res.timers.stop("ortho/small");
       assembled = nfinal - bw;
       return true;
     };
@@ -413,9 +412,10 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     // block is dead after the seed, so ract holds Q Y.
     if (ls.cols() > 0) {
       const dense::MatrixView z = ract.block(0, 0, rows, bw);
-      res.timers.start("ortho/small");
-      ls.combine(basis_v, z);
-      res.timers.stop("ortho/small");
+      {
+        const util::ScopedPhase t(&res.timers, util::Phase::kOrthoSmall);
+        ls.combine(basis_v, z);
+      }
       op.apply_minv(z, tmp.block(0, 0, rows, bw), &res.timers);
       for (index_t t = 0; t < bw; ++t) {
         dense::axpy(1.0, std::span<const double>(tmp.col(t), nloc),
@@ -516,7 +516,7 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
   }
 
   // Exit: explicit residuals of EVERY column, frozen ones included.
-  res.timers.stop("total");
+  res.timers.stop(util::Phase::kTotal);
   std::vector<index_t> all(static_cast<std::size_t>(k));
   std::iota(all.begin(), all.end(), 0);
   residual(all);

@@ -95,27 +95,28 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
     dense::dd_round(g_hi.view().block(0, 0, nq, s),
                     g_lo.view().block(0, 0, nq, s), r_prev);
 
-    if (ctx.timers) ctx.timers->start("ortho/chol");
-    if (nq > 0) {
-      // r_prev^T r_prev on the threaded pair kernel, then one
-      // elementwise dd subtraction from the V^T V block.
-      dense::Matrix p_lo(s, s);
-      dense::Matrix p_hi(s, s);
-      dense::gemm_tn_dd(r_prev, r_prev, p_hi.view(), p_lo.view());
-      for (index_t j = 0; j < s; ++j) {
-        for (index_t i = 0; i < s; ++i) {
-          const dense::dd acc =
-              dense::dd_sub(dense::dd{g_hi(nq + i, j), g_lo(nq + i, j)},
-                            dense::dd{p_hi(i, j), p_lo(i, j)});
-          s_hi(i, j) = acc.hi;
-          s_lo(i, j) = acc.lo;
+    {
+      const ScopedPhase t(ctx.timers, Phase::kOrthoChol);
+      if (nq > 0) {
+        // r_prev^T r_prev on the threaded pair kernel, then one
+        // elementwise dd subtraction from the V^T V block.
+        dense::Matrix p_lo(s, s);
+        dense::Matrix p_hi(s, s);
+        dense::gemm_tn_dd(r_prev, r_prev, p_hi.view(), p_lo.view());
+        for (index_t j = 0; j < s; ++j) {
+          for (index_t i = 0; i < s; ++i) {
+            const dense::dd acc =
+                dense::dd_sub(dense::dd{g_hi(nq + i, j), g_lo(nq + i, j)},
+                              dense::dd{p_hi(i, j), p_lo(i, j)});
+            s_hi(i, j) = acc.hi;
+            s_lo(i, j) = acc.lo;
+          }
         }
+      } else {
+        dense::copy(g_hi.view().block(nq, 0, s, s), s_hi.view());
+        dense::copy(g_lo.view().block(nq, 0, s, s), s_lo.view());
       }
-    } else {
-      dense::copy(g_hi.view().block(nq, 0, s, s), s_hi.view());
-      dense::copy(g_lo.view().block(nq, 0, s, s), s_lo.view());
     }
-    if (ctx.timers) ctx.timers->stop("ortho/chol");
     chol_factor_dd(ctx, s_hi.view(), s_lo.view(), "BCGS-PIP");
     dense::dd_round(s_hi.view(), s_lo.view(), r_diag);
   } else {
@@ -127,9 +128,8 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
     dense::copy(g.view().block(0, 0, nq, s), r_prev);
     dense::copy(g.view().block(nq, 0, s, s), r_diag);
     if (nq > 0) {
-      if (ctx.timers) ctx.timers->start("ortho/chol");
+      const ScopedPhase t(ctx.timers, Phase::kOrthoChol);
       dense::gemm_tn(-1.0, r_prev, r_prev, 1.0, r_diag);
-      if (ctx.timers) ctx.timers->stop("ortho/chol");
     }
     chol_factor(ctx, r_diag, "BCGS-PIP");
   }

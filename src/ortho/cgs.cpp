@@ -15,22 +15,21 @@ namespace {
 /// c = Q^T v with one reduce ("dot-products" bucket).
 void project(OrthoContext& ctx, ConstMatrixView q, std::span<const double> v,
              std::span<double> c) {
-  if (ctx.timers) ctx.timers->start("ortho/dot");
-  dense::gemv_t(1.0, q, v, 0.0, c);
-  if (ctx.timers) ctx.timers->stop("ortho/dot");
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoDot);
+    dense::gemv_t(1.0, q, v, 0.0, c);
+  }
   if (ctx.comm) {
-    if (ctx.timers) ctx.timers->start("ortho/reduce");
+    const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
     ctx.comm->allreduce_sum(c);
-    if (ctx.timers) ctx.timers->stop("ortho/reduce");
   }
 }
 
 /// v -= Q c ("vector-updates" bucket).
 void update(OrthoContext& ctx, ConstMatrixView q, std::span<const double> c,
             std::span<double> v) {
-  if (ctx.timers) ctx.timers->start("ortho/update");
+  const ScopedPhase t(ctx.timers, Phase::kOrthoUpdate);
   dense::gemv(-1.0, q, c, 1.0, v);
-  if (ctx.timers) ctx.timers->stop("ortho/update");
 }
 
 }  // namespace
@@ -56,9 +55,8 @@ void cgs2_step(OrthoContext& ctx, ConstMatrixView q, std::span<double> v,
   const double nrm = global_norm(ctx, v);
   h[nq] = nrm;
   if (nrm > 0.0) {
-    if (ctx.timers) ctx.timers->start("ortho/update");
+    const ScopedPhase t(ctx.timers, Phase::kOrthoUpdate);
     dense::scal(1.0 / nrm, v);
-    if (ctx.timers) ctx.timers->stop("ortho/update");
   }
 }
 
@@ -71,9 +69,8 @@ void mgs_step(OrthoContext& ctx, ConstMatrixView q, std::span<double> v,
     std::span<const double> qk(col.data, static_cast<std::size_t>(col.rows));
     double hk = dense::dot(qk, v);
     if (ctx.comm) {
-      if (ctx.timers) ctx.timers->start("ortho/reduce");
+      const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
       hk = ctx.comm->allreduce_sum_scalar(hk);
-      if (ctx.timers) ctx.timers->stop("ortho/reduce");
     }
     h[k] = hk;
     dense::axpy(-hk, qk, v);

@@ -84,15 +84,16 @@ void shifted_cholqr3(OrthoContext& ctx, MatrixView v, MatrixView r) {
   } else {
     block_dot(ctx, v, v, r);
   }
-  if (ctx.timers) ctx.timers->start("ortho/chol");
-  const double shift =
-      11.0 * (static_cast<double>(v.cols) + 1.0) *
-      std::numeric_limits<double>::epsilon() *
-      dense::one_norm(dd ? ConstMatrixView(g_hi.view()) : ConstMatrixView(r));
-  const bool ok =
-      dd ? dense::potrf_upper_dd_shifted(g_hi.view(), g_lo.view(), shift).ok()
-         : dense::potrf_upper_shifted(r, shift).ok();
-  if (ctx.timers) ctx.timers->stop("ortho/chol");
+  bool ok = false;
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoChol);
+    const double shift =
+        11.0 * (static_cast<double>(v.cols) + 1.0) *
+        std::numeric_limits<double>::epsilon() *
+        dense::one_norm(dd ? ConstMatrixView(g_hi.view()) : ConstMatrixView(r));
+    ok = dd ? dense::potrf_upper_dd_shifted(g_hi.view(), g_lo.view(), shift).ok()
+            : dense::potrf_upper_shifted(r, shift).ok();
+  }
   if (!ok) {
     throw CholeskyBreakdown("shifted CholQR: input numerically rank-deficient");
   }
@@ -125,9 +126,8 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
 
   auto timed_reduce = [&](std::span<double> buf) {
     if (!ctx.comm) return;
-    if (ctx.timers) ctx.timers->start("ortho/reduce");
+    const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
     ctx.comm->allreduce_sum(buf);
-    if (ctx.timers) ctx.timers->stop("ortho/reduce");
   };
 
   // The panel sweeps below run on the threaded BLAS-1 kernels; their
@@ -140,7 +140,8 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
     return std::span<double>(col + lo, static_cast<std::size_t>(nloc - lo));
   };
 
-  if (ctx.timers) ctx.timers->start("ortho/hhqr");
+  // The sweeps, the R broadcast, forming Q and the sign normalization.
+  const ScopedPhase hhqr_phase(ctx.timers, Phase::kOrthoHhqr);
   for (index_t j = 0; j < s; ++j) {
     double* colj = v.col(j);
     // Fused reduce: [ sum of squares below and incl. pivot, pivot value ].
@@ -195,9 +196,8 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
       }
     }
     if (ctx.comm) {
-      if (ctx.timers) ctx.timers->start("ortho/reduce");
+      const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
       ctx.comm->broadcast(rbuf, 0);
-      if (ctx.timers) ctx.timers->stop("ortho/reduce");
     }
     for (index_t jj = 0; jj < s; ++jj) {
       for (index_t ii = 0; ii <= jj; ++ii) {
@@ -226,7 +226,6 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
     dense::gemm_nn(-tj, vj, w.view(), 1.0, qtail);
   }
   dense::copy(q.view(), v);
-  if (ctx.timers) ctx.timers->stop("ortho/hhqr");
 
   // Sign-normalize: diag(R) >= 0 (BlkOrth convention of Fig. 1).
   for (index_t j = 0; j < s; ++j) {
@@ -250,9 +249,8 @@ void mgs(OrthoContext& ctx, MatrixView v, MatrixView r) {
       std::span<const double> ck(colk, static_cast<std::size_t>(v.rows));
       double h = dense::dot(ck, cj);
       if (ctx.comm) {
-        if (ctx.timers) ctx.timers->start("ortho/reduce");
+        const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
         h = ctx.comm->allreduce_sum_scalar(h);
-        if (ctx.timers) ctx.timers->stop("ortho/reduce");
       }
       r(k, j) = h;
       dense::axpy(-h, ck, cj);

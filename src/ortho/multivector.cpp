@@ -16,21 +16,13 @@ namespace tsbo::ortho {
 
 namespace {
 
-void time_start(OrthoContext& ctx, const char* phase) {
-  if (ctx.timers) ctx.timers->start(phase);
-}
-void time_stop(OrthoContext& ctx, const char* phase) {
-  if (ctx.timers) ctx.timers->stop(phase);
-}
-
 /// Deterministic threaded local sum of squares; ranks then combine via
 /// the (deterministic) all-reduce, keeping the result replicated exactly.
 double reduced_sumsq(OrthoContext& ctx, std::span<const double> x) {
   double s = dense::sumsq(x);
   if (ctx.comm) {
-    time_start(ctx, "ortho/reduce");
+    const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
     s = ctx.comm->allreduce_sum_scalar(s);
-    time_stop(ctx, "ortho/reduce");
   }
   return s;
 }
@@ -41,7 +33,7 @@ double reduced_sumsq(OrthoContext& ctx, std::span<const double> x) {
 /// the surrounding coefficients.
 void reduce_sum(OrthoContext& ctx, MatrixView c) {
   if (ctx.comm == nullptr) return;
-  time_start(ctx, "ortho/reduce");
+  const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
   const std::size_t total =
       static_cast<std::size_t>(c.rows) * static_cast<std::size_t>(c.cols);
   if (c.ld == c.rows) {
@@ -52,13 +44,12 @@ void reduce_sum(OrthoContext& ctx, MatrixView c) {
     ctx.comm->allreduce_sum(packed);
     dense::copy(ConstMatrixView{packed.data(), c.rows, c.cols, c.rows}, c);
   }
-  time_stop(ctx, "ortho/reduce");
 }
 
 /// Pair-form (double-double) counterpart; one fused dd all-reduce.
 void reduce_sum_dd(OrthoContext& ctx, MatrixView hi, MatrixView lo) {
   if (ctx.comm == nullptr) return;
-  time_start(ctx, "ortho/reduce");
+  const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
   const std::size_t total =
       static_cast<std::size_t>(hi.rows) * static_cast<std::size_t>(hi.cols);
   if (hi.ld == hi.rows && lo.ld == lo.rows) {
@@ -74,7 +65,6 @@ void reduce_sum_dd(OrthoContext& ctx, MatrixView hi, MatrixView lo) {
     dense::copy(ph, hi);
     dense::copy(pl, lo);
   }
-  time_stop(ctx, "ortho/reduce");
 }
 
 // `gram.stage1` fault seam: consulted once per fused stage-1 Gram,
@@ -97,37 +87,40 @@ void consult_gram_fault(OrthoContext& ctx, MatrixView g) {
 
 void block_dot(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
                MatrixView c) {
-  time_start(ctx, "ortho/dot");
-  if (ctx.mixed_precision_gram) {
-    dense::gemm_tn_dd(a, b, c);
-  } else {
-    dense::gemm_tn(1.0, a, b, 0.0, c);
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoDot);
+    if (ctx.mixed_precision_gram) {
+      dense::gemm_tn_dd(a, b, c);
+    } else {
+      dense::gemm_tn(1.0, a, b, 0.0, c);
+    }
   }
-  time_stop(ctx, "ortho/dot");
   reduce_sum(ctx, c);
 }
 
 void block_dot_dd(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
                   MatrixView c_hi, MatrixView c_lo) {
-  time_start(ctx, "ortho/dot");
-  dense::gemm_tn_dd(a, b, c_hi, c_lo);
-  time_stop(ctx, "ortho/dot");
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoDot);
+    dense::gemm_tn_dd(a, b, c_hi, c_lo);
+  }
   reduce_sum_dd(ctx, c_hi, c_lo);
 }
 
 void fused_gram(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
                 MatrixView g) {
   assert(g.rows == q.cols + v.cols && g.cols == v.cols);
-  time_start(ctx, "ortho/dot");
-  MatrixView top = g.block(0, 0, q.cols, v.cols);
-  MatrixView bottom = g.block(q.cols, 0, v.cols, v.cols);
-  // Always working precision: the mixed-precision BCGS-PIP path goes
-  // through fused_gram_dd, which keeps the pair form alive for the
-  // Pythagorean update and Cholesky (rounding here would reintroduce
-  // the eps^{-1/2} cliff this layer exists to remove).
-  if (q.cols > 0) dense::gemm_tn(1.0, q, v, 0.0, top);
-  dense::gemm_tn(1.0, v, v, 0.0, bottom);
-  time_stop(ctx, "ortho/dot");
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoDot);
+    MatrixView top = g.block(0, 0, q.cols, v.cols);
+    MatrixView bottom = g.block(q.cols, 0, v.cols, v.cols);
+    // Always working precision: the mixed-precision BCGS-PIP path goes
+    // through fused_gram_dd, which keeps the pair form alive for the
+    // Pythagorean update and Cholesky (rounding here would reintroduce
+    // the eps^{-1/2} cliff this layer exists to remove).
+    if (q.cols > 0) dense::gemm_tn(1.0, q, v, 0.0, top);
+    dense::gemm_tn(1.0, v, v, 0.0, bottom);
+  }
   consult_gram_fault(ctx, g);
   reduce_sum(ctx, g);
 }
@@ -136,14 +129,15 @@ void fused_gram_dd(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
                    MatrixView g_hi, MatrixView g_lo) {
   assert(g_hi.rows == q.cols + v.cols && g_hi.cols == v.cols);
   assert(g_lo.rows == g_hi.rows && g_lo.cols == g_hi.cols);
-  time_start(ctx, "ortho/dot");
-  if (q.cols > 0) {
-    dense::gemm_tn_dd(q, v, g_hi.block(0, 0, q.cols, v.cols),
-                      g_lo.block(0, 0, q.cols, v.cols));
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoDot);
+    if (q.cols > 0) {
+      dense::gemm_tn_dd(q, v, g_hi.block(0, 0, q.cols, v.cols),
+                        g_lo.block(0, 0, q.cols, v.cols));
+    }
+    dense::gemm_tn_dd(v, v, g_hi.block(q.cols, 0, v.cols, v.cols),
+                      g_lo.block(q.cols, 0, v.cols, v.cols));
   }
-  dense::gemm_tn_dd(v, v, g_hi.block(q.cols, 0, v.cols, v.cols),
-                    g_lo.block(q.cols, 0, v.cols, v.cols));
-  time_stop(ctx, "ortho/dot");
   consult_gram_fault(ctx, g_hi);
   reduce_sum_dd(ctx, g_hi, g_lo);
 }
@@ -151,15 +145,13 @@ void fused_gram_dd(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
 void block_update(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView c,
                   MatrixView v) {
   if (q.cols == 0) return;
-  time_start(ctx, "ortho/update");
+  const ScopedPhase t(ctx.timers, Phase::kOrthoUpdate);
   dense::gemm_nn(-1.0, q, c, 1.0, v);
-  time_stop(ctx, "ortho/update");
 }
 
 void block_scale(OrthoContext& ctx, ConstMatrixView r, MatrixView v) {
-  time_start(ctx, "ortho/trsm");
+  const ScopedPhase t(ctx.timers, Phase::kOrthoTrsm);
   dense::trsm_right_upper(r, v);
-  time_stop(ctx, "ortho/trsm");
 }
 
 namespace {
@@ -177,11 +169,10 @@ void chol_with_policy(OrthoContext& ctx, const std::string& what,
                       double unit_roundoff, index_t n,
                       const std::function<bool()>& factor,
                       const std::function<bool(double)>& retry_shifted) {
-  time_start(ctx, "ortho/chol");
+  const ScopedPhase t(ctx.timers, Phase::kOrthoChol);
   if (!factor()) {
     ctx.cholesky_breakdowns += 1;
     if (ctx.policy == BreakdownPolicy::kThrow) {
-      time_stop(ctx, "ortho/chol");
       throw CholeskyBreakdown("Cholesky breakdown in " + what +
                               indefinite_detail);
     }
@@ -189,7 +180,6 @@ void chol_with_policy(OrthoContext& ctx, const std::string& what,
     // NaN shifts neither factor nor trip the growth bail-out — so fail
     // loudly instead of retrying forever.
     if (!std::isfinite(gnorm)) {
-      time_stop(ctx, "ortho/chol");
       throw CholeskyBreakdown("Cholesky breakdown in " + what +
                               " (Gram matrix not finite)");
     }
@@ -207,12 +197,10 @@ void chol_with_policy(OrthoContext& ctx, const std::string& what,
       shift *= 100.0;
     }
     if (!fixed) {
-      time_stop(ctx, "ortho/chol");
       throw CholeskyBreakdown("Cholesky breakdown in " + what +
                               persist_detail);
     }
   }
-  time_stop(ctx, "ortho/chol");
 }
 
 /// Records the diagonal-ratio conditioning estimate of a successful

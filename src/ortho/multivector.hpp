@@ -27,6 +27,8 @@ namespace tsbo::ortho {
 using dense::ConstMatrixView;
 using dense::index_t;
 using dense::MatrixView;
+using util::Phase;
+using util::ScopedPhase;
 
 /// What to do when the Cholesky factorization of a Gram matrix breaks
 /// down (input condition number past ~eps^{-1/2}, paper condition (1)).

@@ -41,37 +41,37 @@ void randomized_cholqr(OrthoContext& ctx, dense::MatrixView v,
 
   // Sketch locally, reduce globally (one small all-reduce).
   dense::Matrix sketch(k, s);
-  if (ctx.timers) ctx.timers->start("ortho/dot");
-  apply_sketch(v, row_begin, k, cfg, sketch.view());
-  if (ctx.timers) ctx.timers->stop("ortho/dot");
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoDot);
+    apply_sketch(v, row_begin, k, cfg, sketch.view());
+  }
   if (ctx.comm) {
-    if (ctx.timers) ctx.timers->start("ortho/reduce");
+    const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
     ctx.comm->allreduce_sum(
         std::span<double>(sketch.data().data(), sketch.data().size()));
-    if (ctx.timers) ctx.timers->stop("ortho/reduce");
   }
 
   // Tiny Householder QR of the sketch (redundant on every rank); the
   // resulting triangular factor preconditions V.
-  if (ctx.timers) ctx.timers->start("ortho/chol");
-  dense::HouseholderQR f = dense::geqrf(sketch.view());
-  dense::Matrix r_s = dense::extract_r(f);
-  // Guard against an (improbable) rank-deficient sketch.
-  for (index_t j = 0; j < s; ++j) {
-    if (r_s(j, j) == 0.0) r_s(j, j) = 1.0;
+  dense::Matrix r_s;
+  {
+    const ScopedPhase t(ctx.timers, Phase::kOrthoChol);
+    r_s = dense::extract_r(dense::geqrf(sketch.view()));
+    // Guard against an (improbable) rank-deficient sketch.
+    for (index_t j = 0; j < s; ++j) {
+      if (r_s(j, j) == 0.0) r_s(j, j) = 1.0;
+    }
   }
-  if (ctx.timers) ctx.timers->stop("ortho/chol");
   block_scale(ctx, r_s.view(), v);
 
   // One CholQR finishes the job: V R_s^{-1} is O(1)-conditioned.
   cholqr(ctx, v, r);
 
   // r := r * r_s (combined factor).
-  if (ctx.timers) ctx.timers->start("ortho/chol");
+  const ScopedPhase t(ctx.timers, Phase::kOrthoChol);
   dense::Matrix combined(s, s);
   dense::gemm_nn(1.0, r, r_s.view(), 0.0, combined.view());
   dense::copy(combined.view(), r);
-  if (ctx.timers) ctx.timers->stop("ortho/chol");
 }
 
 }  // namespace tsbo::ortho

@@ -50,7 +50,7 @@ class OneStageManager : public BlockOrthoManager {
     return q_total;  // nothing pending
   }
 
-  void reset() override {}
+  void reset(index_t) override {}
 
  protected:
   virtual void run(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
@@ -138,17 +138,11 @@ class TwoStageManager final : public BlockOrthoManager {
     return 1.0 + static_cast<double>(s) / static_cast<double>(bs > 0 ? bs : bs_);
   }
 
-  void reset() override {
-    big_begin_ = 1;
+  void reset(index_t n_seed) override {
+    // The open big panel starts right after the n_seed final columns.
+    big_begin_ = n_seed;
     pending_ = 0;
     pending_starts_.clear();
-  }
-
-  void reset_cycle(index_t n_seed) override {
-    // Block GMRES seeds n_seed final columns (the CholQR'd residual
-    // block); the open big panel starts right after them.
-    reset();
-    big_begin_ = n_seed;
   }
 
   void note_mpk_start(OrthoContext&, MatrixView l, index_t start) override {

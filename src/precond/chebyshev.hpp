@@ -24,6 +24,11 @@
 
 namespace tsbo::precond {
 
+/// Power-method steps of the estimated-interval setup: the default of
+/// ChebyshevPolynomial(a, degree), and what the solver service's cached
+/// setups use, so both build bitwise-identical setups.
+inline constexpr int kChebyshevPowerIters = 10;
+
 /// Reusable Chebyshev setup for one rank's operator block: the
 /// ghost-stripped diagonal block, its inverted diagonal, and the
 /// estimated (or explicitly given) eigenvalue interval of the
@@ -63,7 +68,7 @@ class ChebyshevPolynomial final : public Preconditioner {
   /// with `power_iters` power-method steps; the standard heuristics
   /// lmax *= 1.1, lmin = lmax / 30 are applied (Ifpack2 defaults).
   explicit ChebyshevPolynomial(const sparse::DistCsr& a, int degree = 4,
-                               int power_iters = 10);
+                               int power_iters = kChebyshevPowerIters);
 
   /// Explicit eigenvalue interval of the Jacobi-scaled block (no
   /// estimation) — for operators whose spectrum is known.

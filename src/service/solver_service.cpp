@@ -26,19 +26,11 @@ const char* to_string(JobOutcome outcome) {
 
 namespace {
 
-/// Whether the registry's chebyshev entry would take the power-method
-/// estimate path for these options (the only Chebyshev variant whose
-/// setup the cache holds; an explicit interval is cheap to rebuild).
-bool chebyshev_estimates(const api::SolverOptions& opts) {
-  return opts.precond == "chebyshev" &&
-         !(opts.precond_lambda_max > opts.precond_lambda_min &&
-           opts.precond_lambda_max > 0.0);
-}
-
-/// Matches the default `power_iters` of the fused
-/// ChebyshevPolynomial(a, degree) constructor the registry's estimate
-/// path calls — keep in sync so cached setups stay bitwise-pinned.
-constexpr int kChebyshevPowerIters = 10;
+/// Exponential-backoff base for retries: attempt k+1 waits
+/// kRetryBackoffMs * 2^(k-1) ms plus a deterministic per-job jitter
+/// (job id mod 3 ms) so colliding retry storms de-synchronize
+/// reproducibly.
+constexpr long kRetryBackoffMs = 1;
 
 }  // namespace
 
@@ -268,8 +260,7 @@ void SolverService::run_job(Job& job, std::uint64_t dispatch_seq) {
       if (attempt == max_attempts) break;
       // Exponential backoff with deterministic per-job jitter before
       // the retry (failed or corrupted attempt).
-      const long base = std::max<long>(1, cfg_.retry_backoff_ms);
-      const long backoff = base << (attempt - 1);
+      const long backoff = kRetryBackoffMs << (attempt - 1);
       const long jitter = static_cast<long>(job.id % 3);
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff + jitter));
     }
@@ -323,7 +314,10 @@ JobOutcome SolverService::run_attempt(Job& job, par::FaultInjector* injector,
   const api::SolverOptions& opts = job.opts;
   const bool use_mc =
       opts.precond == "mc-gs" || opts.precond == "mc-sgs";
-  const bool use_cheb = chebyshev_estimates(opts);
+  // The cache holds only the power-method estimate's Chebyshev setup;
+  // an explicit interval is cheap to rebuild.
+  const bool use_cheb =
+      opts.precond == "chebyshev" && !api::chebyshev_explicit_interval(opts);
   const auto populated = [](const auto& setups) {
     return !setups.empty() &&
            std::all_of(setups.begin(), setups.end(),
@@ -366,7 +360,7 @@ JobOutcome SolverService::run_attempt(Job& job, par::FaultInjector* injector,
           auto& slot = op->cheb_setups[static_cast<std::size_t>(rank)];
           if (!slot) {
             slot = std::make_shared<const precond::ChebyshevSetup>(
-                a, kChebyshevPowerIters);
+                a, precond::kChebyshevPowerIters);
           }
           return std::make_unique<precond::ChebyshevPolynomial>(
               slot, o.precond_degree);
@@ -417,8 +411,6 @@ JobOutcome SolverService::run_attempt(Job& job, par::FaultInjector* injector,
   report.service.warm_started = warm;
   report.service.queue_seconds = queue_seconds;
   report.service.setup_seconds = hit ? 0.0 : op->build_seconds;
-  report.service.reused_matrix = hit;
-  report.service.reused_partition = hit;
   report.service.reused_precond_setup = setups_ready;
   report.service.reused_rhs = hit && !job.has_rhs && nrhs == 1;
   report.service.cache_key = op->key;

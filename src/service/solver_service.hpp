@@ -42,7 +42,7 @@
 // its build-time checksum and the entry invalidated if mutated.  Every
 // job resolves to a terminal JobOutcome — the queue always drains.
 //
-// Every successfully-run job's SolveReport (schema tsbo.solve_report/8,
+// Every successfully-run job's SolveReport (schema tsbo.solve_report/9,
 // service + resilience objects filled in) is appended to a
 // service-level ReportLog for uniform --json artifacts.
 
@@ -79,11 +79,6 @@ struct ServiceConfig {
   /// jobs stay queued — relative order preserved — and dispatch in
   /// later rounds.
   std::size_t max_inflight_per_key = 0;
-  /// Exponential-backoff base for retries: attempt k+1 waits
-  /// base * 2^(k-1) ms plus a deterministic per-job jitter
-  /// (job id mod 3 ms) so colliding retry storms de-synchronize
-  /// reproducibly.
-  long retry_backoff_ms = 1;
 };
 
 /// Terminal state of a job.  Every submitted job reaches exactly one —

@@ -140,7 +140,8 @@ void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
                        y_local.data, static_cast<std::size_t>(y_local.ld));
     }
   };
-  const auto phase = [timers](const char* done, const char* next) {
+  using util::Phase;
+  const auto phase = [timers](Phase done, Phase next) {
     if (timers) {
       timers->stop(done);
       timers->start(next);
@@ -148,7 +149,7 @@ void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
   };
   const bool exchange = comm.size() > 1;
 
-  if (timers) timers->start("spmv/local");
+  if (timers) timers->start(Phase::kSpmvLocal);
   // Pack the owned entries k-interleaved BEFORE opening the exchange:
   // exchange_begin publishes this prefix and peers read it inside the
   // begin/end window, so it must be complete at begin.
@@ -170,13 +171,13 @@ void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
     // while the modeled halo latency progresses, then copy the ghosts,
     // close the exchange (which discounts the interior compute from
     // the injected latency), and finish the boundary rows.
-    phase("spmv/local", "spmv/comm");
+    phase(Phase::kSpmvLocal, Phase::kSpmvComm);
     comm.exchange_begin(x.first(nlocal * k));
-    phase("spmv/comm", "spmv/local");
+    phase(Phase::kSpmvComm, Phase::kSpmvLocal);
   }
   multiply(interior_, interior_rows_);
   if (exchange) {
-    phase("spmv/local", "spmv/comm");
+    phase(Phase::kSpmvLocal, Phase::kSpmvComm);
     // Ghost row g arrives as k consecutive values at the owner's
     // interleaved offset; one exchange moves k times the spmv volume.
     for (std::size_t g = 0; g < ghost_gid_.size(); ++g) {
@@ -190,10 +191,10 @@ void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,
     }
     comm.exchange_end(peer_recv_bytes_k_,
                       ghost_gid_.size() * k * sizeof(double));
-    phase("spmv/comm", "spmv/local");
+    phase(Phase::kSpmvComm, Phase::kSpmvLocal);
   }
   multiply(boundary_, boundary_rows_);
-  if (timers) timers->stop("spmv/local");
+  if (timers) timers->stop(Phase::kSpmvLocal);
   // One fault consult per apply (not per column): a corrupt addresses
   // the global row in column 0.
   consult_spmv_faults(comm, std::span<double>(y_local.data, nlocal));

@@ -78,7 +78,7 @@ class DistCsr {
   /// scales by k.  The pack completes before exchange_begin publishes
   /// the buffer, so peers always read a consistent span.  The interior
   /// rows run while the modeled halo latency progresses; `timers`
-  /// (optional) receives "spmv/comm" and "spmv/local" phases.  One
+  /// (optional) receives the kSpmvComm and kSpmvLocal phases.  One
   /// column runs the single-vector kernel (gather-vectorized wide
   /// rows); wider blocks run the per-column serial kernel.
   void spmm(par::Communicator& comm, dense::ConstMatrixView x_local,

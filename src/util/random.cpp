@@ -25,8 +25,4 @@ void fill_normal(Xoshiro256& rng, std::span<double> out) {
   for (double& x : out) x = rng.normal();
 }
 
-void fill_uniform(Xoshiro256& rng, std::span<double> out, double lo, double hi) {
-  for (double& x : out) x = rng.uniform(lo, hi);
-}
-
 }  // namespace tsbo::util

@@ -65,7 +65,4 @@ class Xoshiro256 {
 /// Fills `out` with i.i.d. standard normal samples.
 void fill_normal(Xoshiro256& rng, std::span<double> out);
 
-/// Fills `out` with uniform samples in [lo, hi).
-void fill_uniform(Xoshiro256& rng, std::span<double> out, double lo, double hi);
-
 }  // namespace tsbo::util

@@ -1,67 +1,52 @@
 #include "util/timer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace tsbo::util {
 
-void PhaseTimers::start(const std::string& name) {
-  Bucket& b = buckets_[name];
-  if (b.running) {
-    throw std::logic_error("PhaseTimers: phase already running: " + name);
+void PhaseTimers::start(Phase p) {
+  Slot& s = slots_[static_cast<std::size_t>(p)];
+  if (s.running) {
+    throw std::logic_error("PhaseTimers: phase already running: " +
+                           std::string(name(p)));
   }
-  b.running = true;
-  b.started = std::chrono::steady_clock::now();
+  s.running = true;
+  s.started = std::chrono::steady_clock::now();
 }
 
-void PhaseTimers::stop(const std::string& name) {
-  auto it = buckets_.find(name);
-  if (it == buckets_.end() || !it->second.running) {
-    throw std::logic_error("PhaseTimers: phase not running: " + name);
+void PhaseTimers::stop(Phase p) {
+  Slot& s = slots_[static_cast<std::size_t>(p)];
+  if (!s.running) {
+    throw std::logic_error("PhaseTimers: phase not running: " +
+                           std::string(name(p)));
   }
-  Bucket& b = it->second;
-  b.seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - b.started)
+  s.seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - s.started)
           .count();
-  b.count += 1;
-  b.running = false;
+  s.count += 1;
+  s.running = false;
 }
 
-void PhaseTimers::add(const std::string& name, double seconds) {
-  Bucket& b = buckets_[name];
-  b.seconds += seconds;
-  b.count += 1;
+double PhaseTimers::seconds(PaperPhase p) const {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    if (kPhases[i].paper == p) sum += slots_[i].seconds;
+  }
+  return sum;
 }
 
-double PhaseTimers::seconds(const std::string& name) const {
-  auto it = buckets_.find(name);
-  return it == buckets_.end() ? 0.0 : it->second.seconds;
-}
-
-std::uint64_t PhaseTimers::count(const std::string& name) const {
-  auto it = buckets_.find(name);
-  return it == buckets_.end() ? 0 : it->second.count;
-}
-
-std::vector<std::string> PhaseTimers::names() const {
-  std::vector<std::string> out;
-  out.reserve(buckets_.size());
-  for (const auto& [k, v] : buckets_) out.push_back(k);
-  return out;
+OrthoBreakdown PhaseTimers::ortho() const {
+  return {seconds(PaperPhase::kOrthoDot), seconds(PaperPhase::kOrthoReduce),
+          seconds(PaperPhase::kOrthoUpdate), seconds(PaperPhase::kOrthoFactor),
+          seconds(PaperPhase::kOrthoSmall)};
 }
 
 void PhaseTimers::merge_max(const PhaseTimers& other) {
-  for (const auto& [k, v] : other.buckets_) {
-    Bucket& b = buckets_[k];
-    b.seconds = std::max(b.seconds, v.seconds);
-    b.count = std::max(b.count, v.count);
-  }
-}
-
-void PhaseTimers::merge_sum(const PhaseTimers& other) {
-  for (const auto& [k, v] : other.buckets_) {
-    Bucket& b = buckets_[k];
-    b.seconds += v.seconds;
-    b.count += v.count;
+  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    slots_[i].seconds = std::max(slots_[i].seconds, other.slots_[i].seconds);
+    slots_[i].count = std::max(slots_[i].count, other.slots_[i].count);
   }
 }
 

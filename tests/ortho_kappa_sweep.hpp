@@ -51,7 +51,7 @@ inline KappaSweepResult kappa_sweep(const std::string& scheme, double kappa,
       " bs=" + std::to_string(spec.bs) + " m=" + std::to_string(m));
   const krylov::SStepGmresConfig cfg = opts.sstep_config();
   auto mgr = krylov::make_manager(cfg);
-  mgr->reset();
+  mgr->reset(1);
 
   synth::GluedSpec glue;
   glue.n = spec.n;

@@ -294,6 +294,21 @@ TEST(Registries, SelfRegisteredSchemeRunsThroughManagerFactory) {
 
 // ---- SolveReport JSON ------------------------------------------------
 
+/// Keys of the flat JSON object named `name` in `text`, in order.
+std::vector<std::string> object_keys(const std::string& text,
+                                     const std::string& name) {
+  std::vector<std::string> keys;
+  const std::size_t open = text.find('{', text.find("\"" + name + "\""));
+  const std::size_t close = text.find('}', open);
+  for (std::size_t q = text.find('"', open); q < close;
+       q = text.find('"', text.find(',', q))) {
+    const std::size_t end = text.find('"', q + 1);
+    keys.push_back(text.substr(q + 1, end - q - 1));
+    if (text.find(',', end) > close) break;
+  }
+  return keys;
+}
+
 TEST(SolveReport, JsonMatchesGoldenSchema) {
   api::Solver solver(api::SolverOptions::parse(
       "solver=sstep ortho=two_stage matrix=laplace2d_5pt nx=16 ranks=2 "
@@ -307,7 +322,7 @@ TEST(SolveReport, JsonMatchesGoldenSchema) {
   // Golden schema: the keys every consumer (compare tooling, plotting)
   // relies on must be present.
   for (const char* needle :
-       {"\"schema\": \"tsbo.solve_report/8\"", "\"options\"", "\"matrix\"",
+       {"\"schema\": \"tsbo.solve_report/9\"", "\"options\"", "\"matrix\"",
         "\"environment\"", "\"ranks\"", "\"threads\"", "\"result\"",
         "\"converged\"", "\"iters\"", "\"restarts\"", "\"relres\"",
         "\"true_relres\"", "\"time\"", "\"spmv\"", "\"ortho\"", "\"total\"",
@@ -326,6 +341,18 @@ TEST(SolveReport, JsonMatchesGoldenSchema) {
                              "\"injected_seconds\""}) {
     EXPECT_EQ(text.find(needle), std::string::npos) << "stale " << needle;
   }
+  // /9 dropped the reused.matrix / reused.partition aliases of cache_hit.
+  EXPECT_EQ(object_keys(text, "reused"),
+            (std::vector<std::string>{"precond_setup", "rhs"}));
+  // phase_seconds lists the buckets this solve ran, in the phase
+  // table's order (no preconditioner, no HHQR).
+  EXPECT_EQ(object_keys(text, "phase_seconds"),
+            (std::vector<std::string>{"ortho/chol", "ortho/dot", "ortho/reduce",
+                                      "ortho/small", "ortho/trsm",
+                                      "ortho/update", "spmv/comm",
+                                      "spmv/local", "total"}));
+  // The ortho breakdown and the ortho time are one sum.
+  EXPECT_EQ(api::breakdown_of(rep.result).total(), rep.result.time_ortho());
   // The options echo must itself re-parse to the run's options.
   EXPECT_EQ(api::SolverOptions::parse(rep.options.to_string()), rep.options);
 }

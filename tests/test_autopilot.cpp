@@ -104,7 +104,7 @@ TEST(Autopilot, CompletesWhereFixedConfigAborts) {
     EXPECT_THROW(solver.solve(), ortho::CholeskyBreakdown);
   }
   // Same problem, autopilot on: completes to tolerance, and the report
-  // carries the decision trail (schema tsbo.solve_report/8).
+  // carries the decision trail (schema tsbo.solve_report/9).
   api::SolverOptions opts = api::SolverOptions::parse(kRampSpec);
   opts.autopilot = true;
   api::Solver solver(opts);
@@ -123,7 +123,7 @@ TEST(Autopilot, CompletesWhereFixedConfigAborts) {
 
   const std::string text = rep.json();
   for (const char* needle :
-       {"\"schema\": \"tsbo.solve_report/8\"", "\"autopilot\"",
+       {"\"schema\": \"tsbo.solve_report/9\"", "\"autopilot\"",
         "\"enabled\": true", "\"rebase_recoveries\"", "\"final_s\"",
         "\"kind\": \"shrink_s\"", "\"kind\": \"rebase\""}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing " << needle;

@@ -151,7 +151,7 @@ TEST_P(PaperSyncs, PerPanelAllreduceCountPinned) {
       const double nrm = ortho::global_norm(ctx, q0);
       for (double& v : q0) v /= nrm;
     }
-    manager->reset();
+    manager->reset(1);
     comm.reset_stats();
     for (index_t p = 0; p < npanels; ++p) {
       manager->note_mpk_start(ctx, l.view(), p * s);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -379,23 +380,46 @@ TEST(NetworkModel, InjectedLatencyIsObservable) {
 }
 
 TEST(PhaseTimers, AccumulateAndMerge) {
+  using util::Phase;
+  using util::PaperPhase;
+  const auto timed = [](util::PhaseTimers& t, Phase p, double s) {
+    t.start(p);
+    util::spin_wait(s);
+    t.stop(p);
+  };
   util::PhaseTimers t;
-  t.add("a", 1.0);
-  t.add("a", 0.5);
-  t.add("b", 2.0);
-  EXPECT_DOUBLE_EQ(t.seconds("a"), 1.5);
-  EXPECT_EQ(t.count("a"), 2u);
-  EXPECT_DOUBLE_EQ(t.seconds("missing"), 0.0);
+  timed(t, Phase::kOrthoDot, 1e-3);
+  timed(t, Phase::kOrthoDot, 1e-3);
+  timed(t, Phase::kSpmvLocal, 2e-3);
+  EXPECT_GE(t.seconds(Phase::kOrthoDot), 2e-3);
+  EXPECT_EQ(t.count(Phase::kOrthoDot), 2u);
+  EXPECT_EQ(t.count(Phase::kSpmvLocal), 1u);
+  EXPECT_EQ(t.seconds(Phase::kOrthoChol), 0.0);
+  EXPECT_EQ(t.count(Phase::kOrthoChol), 0u);
 
   util::PhaseTimers u;
-  u.add("a", 3.0);
-  u.add("c", 0.1);
+  timed(u, Phase::kOrthoDot, 3e-3);
+  timed(u, Phase::kOrthoTrsm, 1e-3);
+  const double t_dot = t.seconds(Phase::kOrthoDot);
+  const double t_spmv = t.seconds(Phase::kSpmvLocal);
   t.merge_max(u);
-  EXPECT_DOUBLE_EQ(t.seconds("a"), 3.0);
-  EXPECT_DOUBLE_EQ(t.seconds("b"), 2.0);
-  EXPECT_DOUBLE_EQ(t.seconds("c"), 0.1);
+  EXPECT_EQ(t.seconds(Phase::kOrthoDot),
+            std::max(t_dot, u.seconds(Phase::kOrthoDot)));
+  EXPECT_EQ(t.count(Phase::kOrthoDot), 2u);  // max(2, 1)
+  EXPECT_EQ(t.seconds(Phase::kSpmvLocal), t_spmv);
+  EXPECT_EQ(t.seconds(Phase::kOrthoTrsm), u.seconds(Phase::kOrthoTrsm));
+  EXPECT_EQ(t.count(Phase::kOrthoTrsm), 1u);
 
-  EXPECT_THROW(t.stop("never-started"), std::logic_error);
+  // Paper-phase sums read the same table.
+  EXPECT_EQ(t.seconds(PaperPhase::kSpmv), t_spmv);
+  EXPECT_EQ(t.seconds(PaperPhase::kOrthoFactor), t.seconds(Phase::kOrthoTrsm));
+  EXPECT_EQ(t.seconds(PaperPhase::kPrecond), 0.0);
+  const util::OrthoBreakdown bd = t.ortho();
+  EXPECT_EQ(bd.dot, t.seconds(Phase::kOrthoDot));
+  EXPECT_EQ(bd.factor, t.seconds(Phase::kOrthoTrsm));
+  EXPECT_EQ(bd.total(), bd.dot + bd.factor);
+
+  EXPECT_THROW(t.stop(Phase::kPrecond), std::logic_error);
 }
 
 }  // namespace

@@ -53,8 +53,6 @@ TEST(Service, CacheHitBitwiseIdenticalAcrossRanksThreads) {
       ASSERT_TRUE(warm.error.empty()) << warm.error;
       EXPECT_FALSE(cold.report.service.cache_hit);
       EXPECT_TRUE(warm.report.service.cache_hit);
-      EXPECT_TRUE(warm.report.service.reused_matrix);
-      EXPECT_TRUE(warm.report.service.reused_partition);
       EXPECT_TRUE(warm.report.service.reused_precond_setup);
       EXPECT_TRUE(warm.report.service.reused_rhs);
       EXPECT_TRUE(cold.report.service.enabled);
@@ -211,7 +209,7 @@ TEST(Service, ReportCarriesServiceObject) {
   (void)svc.wait(svc.submit(opts));
   const service::JobResult warm = svc.wait(svc.submit(opts));
   const std::string json = warm.report.json();
-  EXPECT_NE(json.find("\"schema\": \"tsbo.solve_report/8\""),
+  EXPECT_NE(json.find("\"schema\": \"tsbo.solve_report/9\""),
             std::string::npos);
   EXPECT_NE(json.find("\"service\": {"), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit\": true"), std::string::npos);

@@ -47,7 +47,7 @@ ManagerRun run_manager(ortho::BlockOrthoManager& mgr, ortho::OrthoContext& ctx,
     for (index_t i = 0; i < n; ++i) out.basis(i, 0) /= nrm;
   }
   out.r(0, 0) = 1.0;
-  mgr.reset();
+  mgr.reset(1);
   for (index_t p = 0; p < m / s; ++p) {
     mgr.note_mpk_start(ctx, out.l.view(), p * s);
     out.nfinal = mgr.add_panel(ctx, out.basis.view(), p * s + 1, s,
@@ -90,7 +90,7 @@ TEST(TwoStageManager, FinalizesOnlyAtBigPanelBoundaries) {
   nrm = std::sqrt(nrm);
   for (index_t i = 0; i < n; ++i) run.basis(i, 0) /= nrm;
   run.r(0, 0) = 1.0;
-  mgr->reset();
+  mgr->reset(1);
 
   std::vector<index_t> finals;
   for (index_t p = 0; p < m / s; ++p) {
@@ -198,7 +198,7 @@ TEST(TwoStageManager, SyncCountIsOnePerPanelPlusOnePerBigPanel) {
     Matrix r(m + 1, m + 1), l(m + 1, m + 1);
     r(0, 0) = 1.0;
     auto mgr = ortho::make_two_stage_manager(bs);
-    mgr->reset();
+    mgr->reset(1);
     comm.reset_stats();
     for (index_t p = 0; p < m / s; ++p) {
       mgr->note_mpk_start(ctx, l.view(), p * s);

@@ -124,27 +124,36 @@ TEST(Timer, WallTimerMeasuresSpinWait) {
 }
 
 TEST(Timer, ScopedPhaseAccumulates) {
+  using util::Phase;
   util::PhaseTimers pt;
   {
-    util::ScopedPhase p(pt, "region");
+    const util::ScopedPhase p(&pt, Phase::kOrthoDot);
     util::spin_wait(2e-3);
   }
   {
-    util::ScopedPhase p(pt, "region");
+    const util::ScopedPhase p(&pt, Phase::kOrthoDot);
     util::spin_wait(2e-3);
   }
-  EXPECT_GE(pt.seconds("region"), 3.5e-3);
-  EXPECT_EQ(pt.count("region"), 2u);
-  EXPECT_EQ(pt.names(), std::vector<std::string>{"region"});
+  { const util::ScopedPhase p(nullptr, Phase::kOrthoDot); }  // times nothing
+  EXPECT_GE(pt.seconds(Phase::kOrthoDot), 3.5e-3);
+  EXPECT_EQ(pt.count(Phase::kOrthoDot), 2u);
+  for (std::size_t i = 0; i < util::kPhaseCount; ++i) {
+    const auto p = static_cast<Phase>(i);
+    if (p != Phase::kOrthoDot) EXPECT_EQ(pt.count(p), 0u) << util::name(p);
+  }
+  EXPECT_EQ(util::name(Phase::kOrthoDot), "ortho/dot");
 }
 
 TEST(Timer, DoubleStartThrows) {
+  using util::Phase;
   util::PhaseTimers pt;
-  pt.start("x");
-  EXPECT_THROW(pt.start("x"), std::logic_error);
-  pt.stop("x");
-  EXPECT_NO_THROW(pt.start("x"));
-  pt.stop("x");
+  pt.start(Phase::kTotal);
+  EXPECT_THROW(pt.start(Phase::kTotal), std::logic_error);
+  pt.stop(Phase::kTotal);
+  EXPECT_THROW(pt.stop(Phase::kTotal), std::logic_error);
+  EXPECT_NO_THROW(pt.start(Phase::kTotal));
+  pt.stop(Phase::kTotal);
+  EXPECT_EQ(pt.count(Phase::kTotal), 2u);
 }
 
 }  // namespace
