@@ -1,5 +1,5 @@
-// Ablation studies for the design choices DESIGN.md calls out —
-// extensions the paper discusses but does not evaluate:
+// Ablation studies for the design choices docs/algorithms.md calls out
+// — extensions the paper discusses but does not evaluate:
 //
 //  A. Basis polynomial x step size: the paper uses the monomial basis
 //     and argues a conservative s = 5 is forced by MPK conditioning;
@@ -18,7 +18,6 @@
 
 #include "dense/svd.hpp"
 #include "ortho/intra.hpp"
-#include "ortho/randomized.hpp"
 #include "par/config.hpp"
 #include "synth/synthetic.hpp"
 #include "util/timer.hpp"
@@ -146,46 +145,6 @@ void ablation_breakdown_policy() {
   table.print();
 }
 
-void ablation_randomized() {
-  std::printf(
-      "\n## Ablation D: randomized (sketched) CholQR — the paper's "
-      "Section IX future-work direction [3]\n"
-      "## expected: stable O(eps) orthogonality far past CholQR2's "
-      "eps^-1/2 cliff, with 2 reduces (vs shifted CholQR3's 3)\n\n");
-  util::Table table({"kappa", "CholQR2", "sCholQR3", "randomized",
-                     "rand time ms"});
-  const dense::index_t n = 50000, s = 5;
-  for (const double kappa : {1e4, 1e8, 1e10, 1e13}) {
-    table.row().add(util::sci(kappa, 0));
-    const dense::Matrix v0 = synth::logscaled(n, s, kappa, 5);
-    auto try_algo = [&](auto&& fn) -> std::string {
-      dense::Matrix v = dense::copy_of(v0.view());
-      dense::Matrix r(s, s);
-      ortho::OrthoContext ctx;
-      ctx.policy = ortho::BreakdownPolicy::kThrow;
-      try {
-        fn(ctx, v.view(), r.view());
-        return util::sci(dense::orthogonality_error(v.view()));
-      } catch (const ortho::CholeskyBreakdown&) {
-        return "breakdown";
-      }
-    };
-    table.add(try_algo([](ortho::OrthoContext& c, dense::MatrixView v,
-                          dense::MatrixView r) { ortho::cholqr2(c, v, r); }));
-    table.add(try_algo([](ortho::OrthoContext& c, dense::MatrixView v,
-                          dense::MatrixView r) {
-      ortho::shifted_cholqr3(c, v, r);
-    }));
-    util::WallTimer t;
-    table.add(try_algo([](ortho::OrthoContext& c, dense::MatrixView v,
-                          dense::MatrixView r) {
-      ortho::randomized_cholqr(c, v, r, 0);
-    }));
-    table.add(1e3 * t.seconds(), 2);
-  }
-  table.print();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -204,7 +163,6 @@ int main(int argc, char** argv) {
   ablation_basis_times_s(base, log);
   ablation_mixed_precision();
   ablation_breakdown_policy();
-  ablation_randomized();
   if (log.save(json_path)) std::printf("\n# wrote %s\n", json_path.c_str());
   return 0;
 }

@@ -481,9 +481,9 @@ par::NetworkModel SolverOptions::network_model() const {
   if (net == "off") return par::NetworkModel::off();
   if (net == "calibrated") return par::NetworkModel::calibrated();
   if (net == "ethernet") return par::NetworkModel::ethernet();
-  if (net == "hw" || net == "cluster") return par::NetworkModel::cluster();
+  if (net == "cluster") return par::NetworkModel::cluster();
   throw std::invalid_argument(
-      "SolverOptions: net must be off|calibrated|ethernet|hw|cluster, got \"" +
+      "SolverOptions: net must be off|calibrated|ethernet|cluster, got \"" +
       net + "\"");
 }
 

@@ -79,7 +79,7 @@ struct SolverOptions {
 
   // ---- execution ----------------------------------------------------
   int ranks = 4;            ///< SPMD rank count
-  std::string net = "off";  ///< off | calibrated | ethernet | hw
+  std::string net = "off";  ///< off | calibrated | ethernet | cluster
   /// Number of right-hand sides solved as one batch (the s-step
   /// engine's block width, krylov/sstep_gmres.hpp).  rhs=1 is the
   /// classic single-RHS path.  rhs=k > 1 requires solver=sstep and

@@ -168,15 +168,6 @@ void scal(double alpha, std::span<double> x) {
   });
 }
 
-void vcopy(std::span<const double> x, std::span<double> y) {
-  assert(x.size() == y.size());
-  par::parallel_for_grained(x.size(), [&](std::size_t b, std::size_t e) {
-    std::copy(x.begin() + static_cast<std::ptrdiff_t>(b),
-              x.begin() + static_cast<std::ptrdiff_t>(e),
-              y.begin() + static_cast<std::ptrdiff_t>(b));
-  });
-}
-
 double amax(std::span<const double> x) {
   return chunked_reduce(
       x.size(),

@@ -28,9 +28,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// x *= alpha
 void scal(double alpha, std::span<double> x);
 
-/// y = x
-void vcopy(std::span<const double> x, std::span<double> y);
-
 /// max_i |x_i|
 double amax(std::span<const double> x);
 

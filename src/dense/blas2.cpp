@@ -38,26 +38,4 @@ void gemv_t(double alpha, ConstMatrixView a, std::span<const double> x,
   }
 }
 
-void trsv_upper(ConstMatrixView u, std::span<double> x) {
-  assert(u.rows == u.cols);
-  assert(static_cast<index_t>(x.size()) == u.rows);
-  for (index_t j = u.cols - 1; j >= 0; --j) {
-    x[j] /= u(j, j);
-    const double xj = x[j];
-    const double* col = u.col(j);
-    for (index_t i = 0; i < j; ++i) x[i] -= xj * col[i];
-  }
-}
-
-void trsv_lower(ConstMatrixView l, std::span<double> x) {
-  assert(l.rows == l.cols);
-  assert(static_cast<index_t>(x.size()) == l.rows);
-  for (index_t j = 0; j < l.cols; ++j) {
-    x[j] /= l(j, j);
-    const double xj = x[j];
-    const double* col = l.col(j);
-    for (index_t i = j + 1; i < l.rows; ++i) x[i] -= xj * col[i];
-  }
-}
-
 }  // namespace tsbo::dense

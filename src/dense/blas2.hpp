@@ -16,10 +16,4 @@ void gemv(double alpha, ConstMatrixView a, std::span<const double> x,
 void gemv_t(double alpha, ConstMatrixView a, std::span<const double> x,
             double beta, std::span<double> y);
 
-/// Solves U x = b in place (U upper triangular, non-unit diagonal).
-void trsv_upper(ConstMatrixView u, std::span<double> x);
-
-/// Solves L x = b in place (L lower triangular, non-unit diagonal).
-void trsv_lower(ConstMatrixView l, std::span<double> x);
-
 }  // namespace tsbo::dense

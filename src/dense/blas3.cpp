@@ -531,20 +531,6 @@ void trmm_right_upper(ConstMatrixView u, MatrixView b) {
       });
 }
 
-void syrk_tn(ConstMatrixView a, MatrixView c) {
-  assert(c.rows == a.cols && c.cols == a.cols);
-  gemm_tn(1.0, a, a, 0.0, c);
-  // gemm_tn already fills the full square; symmetrize to kill rounding
-  // asymmetry so Cholesky sees an exactly symmetric Gram matrix.
-  for (index_t j = 0; j < c.cols; ++j) {
-    for (index_t i = 0; i < j; ++i) {
-      const double v = 0.5 * (c(i, j) + c(j, i));
-      c(i, j) = v;
-      c(j, i) = v;
-    }
-  }
-}
-
 double frobenius_norm(ConstMatrixView a) {
   // One chunked reduction over the row dimension covering all columns
   // per chunk: a single pool dispatch, deterministic because the chunk

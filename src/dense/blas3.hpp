@@ -60,10 +60,6 @@ void trsm_right_upper(ConstMatrixView u, MatrixView b);
 /// B := B * U  (multiply on the right by upper triangular U).
 void trmm_right_upper(ConstMatrixView u, MatrixView b);
 
-/// C = A^T A (upper triangle filled, mirrored to lower) — the Gram
-/// matrix kernel of CholQR.
-void syrk_tn(ConstMatrixView a, MatrixView c);
-
 /// Frobenius norm of a view.
 double frobenius_norm(ConstMatrixView a);
 

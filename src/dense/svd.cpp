@@ -104,7 +104,7 @@ double norm_2(ConstMatrixView a) {
 
 double orthogonality_error(ConstMatrixView a) {
   Matrix g(a.cols, a.cols);
-  syrk_tn(a, g.view());
+  gemm_tn(1.0, a, a, 0.0, g.view());
   for (index_t j = 0; j < a.cols; ++j) g(j, j) -= 1.0;
   return norm_2(g.view());
 }

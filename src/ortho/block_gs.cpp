@@ -50,9 +50,6 @@ void bcgs2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
     case IntraKind::kHHQR:
       hhqr(ctx, v, r_diag);
       break;
-    case IntraKind::kShiftedCholQR3:
-      shifted_cholqr3(ctx, v, r_diag);
-      break;
   }
 
   if (q.cols == 0) return;

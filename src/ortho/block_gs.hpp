@@ -31,9 +31,8 @@ namespace tsbo::ortho {
 
 /// Intra-block algorithm used for the first factorization inside BCGS2.
 enum class IntraKind {
-  kCholQR2,       ///< BLAS-3, 2 reduces — the paper's performance choice
-  kHHQR,          ///< BLAS-1/2, O(s) reduces — the stability reference
-  kShiftedCholQR3 ///< 3 reduces; unconditionally stable for full-rank V
+  kCholQR2,  ///< BLAS-3, 2 reduces — the paper's performance choice
+  kHHQR,     ///< BLAS-1/2, O(s) reduces — the stability reference
 };
 
 /// Single BCGS projection (paper Fig. 2a): r_prev = Q^T V; V -= Q r_prev.

@@ -7,10 +7,8 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 namespace tsbo::ortho {
 
@@ -23,6 +21,30 @@ void triangular_accumulate(ConstMatrixView t, MatrixView r) {
   dense::gemm_nn(1.0, t, r, 0.0, tmp.view());
   dense::copy(tmp.view(), r);
 }
+
+/// Times one of hhqr's collectives into ortho/reduce, pausing the
+/// enclosing ortho/hhqr phase for its duration so that no second lands
+/// in both buckets (a null pointer times nothing).
+class HhqrCollective {
+ public:
+  explicit HhqrCollective(util::PhaseTimers* timers) : timers_(timers) {
+    if (timers_) {
+      timers_->stop(Phase::kOrthoHhqr);
+      timers_->start(Phase::kOrthoReduce);
+    }
+  }
+  ~HhqrCollective() noexcept {
+    if (timers_) {
+      timers_->stop(Phase::kOrthoReduce);
+      timers_->start(Phase::kOrthoHhqr);
+    }
+  }
+  HhqrCollective(const HhqrCollective&) = delete;
+  HhqrCollective& operator=(const HhqrCollective&) = delete;
+
+ private:
+  util::PhaseTimers* timers_;
+};
 
 }  // namespace
 
@@ -68,42 +90,6 @@ void cholqr2(OrthoContext& ctx, MatrixView v, MatrixView r) {
   triangular_accumulate(t.view(), r);
 }
 
-void shifted_cholqr3(OrthoContext& ctx, MatrixView v, MatrixView r) {
-  assert(r.rows == v.cols && r.cols == v.cols);
-  // First pass: always-shifted Cholesky; the shift of [11] guarantees
-  // success for any numerically full-rank input.  The shift magnitude
-  // is tied to the *working* precision of V (eps, not u_dd) even on
-  // the mixed-precision path — it guards against rank deficiency of
-  // the double-stored input, which dd accumulation cannot repair.
-  const bool dd = ctx.mixed_precision_gram;
-  const index_t sd = dd ? v.cols : 0;  // pair matrices only on the dd path
-  dense::Matrix g_lo(sd, sd);
-  dense::Matrix g_hi(sd, sd);
-  if (dd) {
-    block_dot_dd(ctx, v, v, g_hi.view(), g_lo.view());
-  } else {
-    block_dot(ctx, v, v, r);
-  }
-  bool ok = false;
-  {
-    const ScopedPhase t(ctx.timers, Phase::kOrthoChol);
-    const double shift =
-        11.0 * (static_cast<double>(v.cols) + 1.0) *
-        std::numeric_limits<double>::epsilon() *
-        dense::one_norm(dd ? ConstMatrixView(g_hi.view()) : ConstMatrixView(r));
-    ok = dd ? dense::potrf_upper_dd_shifted(g_hi.view(), g_lo.view(), shift).ok()
-            : dense::potrf_upper_shifted(r, shift).ok();
-  }
-  if (!ok) {
-    throw CholeskyBreakdown("shifted CholQR: input numerically rank-deficient");
-  }
-  if (dd) dense::dd_round(g_hi.view(), g_lo.view(), r);
-  block_scale(ctx, r, v);
-  dense::Matrix t(v.cols, v.cols);
-  cholqr2(ctx, v, t.view());
-  triangular_accumulate(t.view(), r);
-}
-
 void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
   assert(r.rows == v.cols && r.cols == v.cols);
   const index_t nloc = v.rows;
@@ -126,7 +112,7 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
 
   auto timed_reduce = [&](std::span<double> buf) {
     if (!ctx.comm) return;
-    const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
+    const HhqrCollective t(ctx.timers);
     ctx.comm->allreduce_sum(buf);
   };
 
@@ -140,7 +126,8 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
     return std::span<double>(col + lo, static_cast<std::size_t>(nloc - lo));
   };
 
-  // The sweeps, the R broadcast, forming Q and the sign normalization.
+  // The local sweeps, forming Q and the sign normalization; the
+  // reduces and the R broadcast time as ortho/reduce only.
   const ScopedPhase hhqr_phase(ctx.timers, Phase::kOrthoHhqr);
   for (index_t j = 0; j < s; ++j) {
     double* colj = v.col(j);
@@ -196,7 +183,7 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
       }
     }
     if (ctx.comm) {
-      const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
+      const HhqrCollective t(ctx.timers);
       ctx.comm->broadcast(rbuf, 0);
     }
     for (index_t jj = 0; jj < s; ++jj) {
@@ -234,30 +221,6 @@ void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r) {
       double* colj = v.col(j);
       for (index_t i = 0; i < nloc; ++i) colj[i] = -colj[i];
     }
-  }
-}
-
-void mgs(OrthoContext& ctx, MatrixView v, MatrixView r) {
-  assert(r.rows == v.cols && r.cols == v.cols);
-  dense::fill(r, 0.0);
-  const index_t s = v.cols;
-  for (index_t j = 0; j < s; ++j) {
-    double* colj = v.col(j);
-    std::span<double> cj(colj, static_cast<std::size_t>(v.rows));
-    for (index_t k = 0; k < j; ++k) {
-      const double* colk = v.col(k);
-      std::span<const double> ck(colk, static_cast<std::size_t>(v.rows));
-      double h = dense::dot(ck, cj);
-      if (ctx.comm) {
-        const ScopedPhase t(ctx.timers, Phase::kOrthoReduce);
-        h = ctx.comm->allreduce_sum_scalar(h);
-      }
-      r(k, j) = h;
-      dense::axpy(-h, ck, cj);
-    }
-    const double nrm = global_norm(ctx, cj);
-    r(j, j) = nrm;
-    if (nrm > 0.0) dense::scal(1.0 / nrm, cj);
   }
 }
 

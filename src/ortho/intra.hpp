@@ -7,9 +7,7 @@
 // central accounting:
 //   CholQR            1 reduce     (Gram + redundant Cholesky + TRSM)
 //   CholQR2           2 reduces
-//   shifted CholQR3   3 reduces    (stability remedy of [11])
 //   HHQR              O(s) reduces (column-wise distributed Householder)
-//   MGS               O(s) reduces (reference)
 //
 // Precision / conditioning contracts (eps ~ 1.1e-16, u_dd = 2^-104):
 //   CholQR    orthogonality ~ kappa(V)^2 * eps; Cholesky breaks down
@@ -19,8 +17,7 @@
 //             accumulated AND factorized in double-double, extending
 //             the valid range to kappa(V) up to ~u_dd^{-1/2} ~ 1e15
 //             at unchanged synchronization count
-//   shifted CholQR3 / HHQR: O(eps) for any numerically full-rank V
-//   MGS       orthogonality ~ kappa(V) * eps
+//   HHQR      O(eps) for any numerically full-rank V
 // Breakdowns surface per ctx.policy (throw vs shifted retry); see
 // multivector.hpp.
 
@@ -35,20 +32,13 @@ void cholqr(OrthoContext& ctx, MatrixView v, MatrixView r);
 /// written to `r` is the product T * R of both passes.
 void cholqr2(OrthoContext& ctx, MatrixView v, MatrixView r);
 
-/// Shifted CholQR followed by CholQR2 ("shifted CholQR3", Fukaya et
-/// al. [11]): stable for any numerically full-rank input at 1.5x the
-/// cost of CholQR2.  Three global reduces.
-void shifted_cholqr3(OrthoContext& ctx, MatrixView v, MatrixView r);
-
 /// Distributed Householder QR: column-by-column reflectors spanning all
 /// ranks, 2 reduces per column plus 1 broadcast-equivalent for R and
 /// one reduce per column to form the explicit Q — the BLAS-1/2,
 /// O(s)-synchronization behaviour the paper contrasts CholQR against.
 /// Requires rank 0 to own at least s rows (1-D block layout, n >> s).
+/// Its local work times into ortho/hhqr, its collectives into
+/// ortho/reduce only.
 void hhqr(OrthoContext& ctx, MatrixView v, MatrixView r);
-
-/// Modified Gram-Schmidt, column-wise (reference implementation; 2
-/// reduces per column).
-void mgs(OrthoContext& ctx, MatrixView v, MatrixView r);
 
 }  // namespace tsbo::ortho

@@ -67,8 +67,6 @@ class Bcgs2Manager final : public OneStageManager {
         return "BCGS2(CholQR2)";
       case IntraKind::kHHQR:
         return "BCGS2(HHQR)";
-      case IntraKind::kShiftedCholQR3:
-        return "BCGS2(sCholQR3)";
     }
     return "BCGS2";
   }
@@ -79,8 +77,6 @@ class Bcgs2Manager final : public OneStageManager {
         return 5.0;
       case IntraKind::kHHQR:
         return 3.0 + 3.0 * static_cast<double>(s);
-      case IntraKind::kShiftedCholQR3:
-        return 6.0;
     }
     return 5.0;
   }

@@ -12,6 +12,13 @@ void PhaseTimers::start(Phase p) {
     throw std::logic_error("PhaseTimers: phase already running: " +
                            std::string(name(p)));
   }
+  if (p != Phase::kTotal) {
+    if (leaf_ != Phase::kTotal) {
+      throw std::logic_error("PhaseTimers: " + std::string(name(p)) +
+                             " started inside " + std::string(name(leaf_)));
+    }
+    leaf_ = p;
+  }
   s.running = true;
   s.started = std::chrono::steady_clock::now();
 }
@@ -27,6 +34,7 @@ void PhaseTimers::stop(Phase p) {
           .count();
   s.count += 1;
   s.running = false;
+  if (p != Phase::kTotal) leaf_ = Phase::kTotal;
 }
 
 double PhaseTimers::seconds(PaperPhase p) const {

@@ -39,7 +39,7 @@ class WallTimer {
 enum class Phase : std::uint8_t {
   kOrthoChol,    ///< Gram Cholesky (+ shifted retries, Pythagorean update)
   kOrthoDot,     ///< local block dot products / Gram GEMMs
-  kOrthoHhqr,    ///< Householder QR sweeps (includes their reduces)
+  kOrthoHhqr,    ///< Householder QR local sweeps, Q forming, sign fix
   kOrthoReduce,  ///< global all-reduces and broadcasts of ortho data
   kOrthoSmall,   ///< Hessenberg / least-squares bookkeeping
   kOrthoTrsm,    ///< V := V R^{-1}
@@ -108,10 +108,13 @@ struct OrthoBreakdown {
 };
 
 /// Accumulating phase timers: start/stop pairs add into a bucket.
-/// Not thread-safe: each SPMD rank owns its own instance.
+/// Every phase but kTotal is a leaf, and at most one leaf runs at a
+/// time, so no second lands in two leaf buckets.  Not thread-safe:
+/// each SPMD rank owns its own instance.
 class PhaseTimers {
  public:
-  /// Starts the phase; throws std::logic_error if it is already running.
+  /// Starts the phase; throws std::logic_error if it is already
+  /// running, or if it is a leaf and another leaf is running.
   void start(Phase p);
 
   /// Stops the phase and accumulates the elapsed time; throws
@@ -146,6 +149,8 @@ class PhaseTimers {
     return slots_[static_cast<std::size_t>(p)];
   }
   std::array<Slot, kPhaseCount> slots_{};
+  /// The running leaf phase; kTotal when none runs.
+  Phase leaf_ = Phase::kTotal;
 };
 
 /// RAII guard: times a lexical scope into `timers` (a null pointer

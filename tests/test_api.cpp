@@ -166,6 +166,10 @@ TEST(SolverOptions, ValidateCatchesCrossFieldErrors) {
                std::invalid_argument);
   EXPECT_THROW(api::SolverOptions::parse("net=warp").validate(),
                std::invalid_argument);
+  // One name per network model: cluster, not its former alias hw.
+  EXPECT_THROW(api::SolverOptions::parse("net=hw").validate(),
+               std::invalid_argument);
+  EXPECT_NO_THROW(api::SolverOptions::parse("net=cluster").validate());
   EXPECT_THROW(api::SolverOptions::parse("breakdown=retry").validate(),
                std::invalid_argument);
   // An unknown matrix source fails at validate(), not first solve().

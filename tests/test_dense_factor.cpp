@@ -30,7 +30,7 @@ Matrix random_matrix(index_t rows, index_t cols, std::uint64_t seed) {
 Matrix spd_matrix(index_t n, std::uint64_t seed) {
   const Matrix a = random_matrix(2 * n, n, seed);
   Matrix g(n, n);
-  dense::syrk_tn(a.view(), g.view());
+  dense::gemm_tn(1.0, a.view(), a.view(), 0.0, g.view());
   for (index_t i = 0; i < n; ++i) g(i, i) += n;  // well-conditioned
   return g;
 }

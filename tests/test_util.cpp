@@ -156,4 +156,22 @@ TEST(Timer, DoubleStartThrows) {
   EXPECT_EQ(pt.count(Phase::kTotal), 2u);
 }
 
+TEST(Timer, NestedLeafStartThrows) {
+  // Leaf phases are exclusive, so no second is counted in two buckets;
+  // only kTotal may enclose them.
+  using util::Phase;
+  util::PhaseTimers pt;
+  pt.start(Phase::kTotal);
+  pt.start(Phase::kOrthoHhqr);
+  EXPECT_THROW(pt.start(Phase::kOrthoReduce), std::logic_error);
+  EXPECT_THROW((util::ScopedPhase{&pt, Phase::kSpmvLocal}), std::logic_error);
+  pt.stop(Phase::kOrthoHhqr);
+  EXPECT_NO_THROW(pt.start(Phase::kOrthoReduce));  // a switch, not a nest
+  pt.stop(Phase::kOrthoReduce);
+  pt.stop(Phase::kTotal);
+  EXPECT_EQ(pt.count(Phase::kOrthoHhqr), 1u);
+  EXPECT_EQ(pt.count(Phase::kOrthoReduce), 1u);
+  EXPECT_EQ(pt.count(Phase::kSpmvLocal), 0u);
+}
+
 }  // namespace
