@@ -22,6 +22,16 @@
 //                   kColBlock small-operand tiling in dense/blas3.cpp
 //                   earns its keep (at s ~ 10 every width fits cache);
 //   * spmv        — 9-point 2-D Laplace stencil;
+//   * spmm        — the block solver's k-column row kernel
+//                   (sparse::spmm_rows_mapped) on one rank's piece of
+//                   the 27-point laplace3d nx=40 matrix (rows 0..31999
+//                   of 64000, global columns) at k = 1, 4, 8, with GB/s
+//                   from the bytes it must move: the CSR arrays and row
+//                   map once, plus k values per referenced x entry and
+//                   per output row;
+//   * cheb_apply  — the degree-4 Chebyshev preconditioner on the same
+//                   piece's diagonal block at k = 1, 4 columns
+//                   (ChebyshevPolynomial::apply_multi);
 //   * dot, axpy   — BLAS-1 baselines for context.
 // Every record carries a "simd" field naming the ISA the build's
 // kernel layer dispatched to (avx512 / avx2 / neon / scalar, see
@@ -42,8 +52,11 @@
 #include "dense/blas3.hpp"
 #include "dense/dd.hpp"
 #include "par/config.hpp"
+#include "precond/chebyshev.hpp"
 #include "util/simd.hpp"
+#include "sparse/dist_csr.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/partition.hpp"
 #include "sparse/spmv.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -57,6 +70,8 @@
 #include <cstring>
 #include <stdexcept>
 #include <functional>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,6 +96,7 @@ struct Measurement {
   std::string simd = tsbo::simd::isa_name();  // compile-time ISA dispatch
   double seconds = 0.0;   // best of reps
   double gflops = 0.0;
+  double gbs = 0.0;       // only for cases that count their bytes
   bool deterministic = false;   // repeated runs bit-identical
   bool matches_serial = false;  // bit-identical to the 1-thread result
 };
@@ -91,6 +107,7 @@ struct Case {
   std::string shape;
   double flops = 0.0;
   std::function<void(std::vector<double>& out)> run;
+  double bytes = 0.0;  // memory traffic per run; 0 = not reported
 };
 
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
@@ -133,8 +150,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "# Kernel-layer thread sweep: gemm_tn / gemm_tn_dd / gemm_nn / trsm "
-      "(m = %d), stage-1 Gram panels, spmv (%d x %d 9-pt Laplace), dot, "
-      "axpy\n"
+      "(m = %d), stage-1 Gram panels, spmv (%d x %d 9-pt Laplace), spmm / "
+      "cheb_apply (27-pt rank piece), dot, axpy\n"
       "# simd: %s\n"
       "# threads:", m, nx, nx, tsbo::simd::isa_name());
   for (const int t : threads) std::printf(" %d", t);
@@ -264,6 +281,73 @@ int main(int argc, char** argv) {
         }});
   }
   {
+    // One rank's piece of perfbench block4_3d27pt's matrix: rank 0 of 2.
+    const sparse::CsrMatrix full = sparse::laplace3d_27pt(40, 40, 40);
+    const sparse::RowPartition part(full.rows, 2);
+    auto piece = std::make_shared<const sparse::CsrMatrix>(
+        sparse::extract_rows(full, part.begin(0), part.end(0)));
+    auto rows = std::make_shared<std::vector<sparse::ord>>(
+        static_cast<std::size_t>(piece->rows));
+    std::iota(rows->begin(), rows->end(), 0);
+    std::vector<char> touched(static_cast<std::size_t>(piece->cols), 0);
+    for (const sparse::ord c : piece->col_idx) {
+      touched[static_cast<std::size_t>(c)] = 1;
+    }
+    const double x_entries = static_cast<double>(
+        std::count(touched.begin(), touched.end(), char{1}));
+    const double nrows = static_cast<double>(piece->rows);
+    const std::string shape = std::to_string(piece->rows) + " rows 27pt";
+    for (const sparse::ord k : {1, 4, 8}) {
+      std::vector<double> xk(static_cast<std::size_t>(piece->cols) *
+                             static_cast<std::size_t>(k));
+      util::Xoshiro256 rng(20 + static_cast<std::uint64_t>(k));
+      util::fill_normal(rng, xk);
+      const double bytes =
+          static_cast<double>(piece->storage_bytes()) +
+          nrows * sizeof(sparse::ord) +
+          (x_entries + nrows) * static_cast<double>(k) * sizeof(double);
+      cases.push_back(Case{
+          "spmm", shape + " k=" + std::to_string(k),
+          2.0 * static_cast<double>(piece->nnz()) * k,
+          [piece, rows, xk = std::move(xk), k](std::vector<double>& out) {
+            const auto n = static_cast<std::size_t>(piece->rows);
+            out.assign(n * static_cast<std::size_t>(k), 0.0);
+            sparse::spmm_rows_mapped(*piece, *rows, xk.data(), k, out.data(),
+                                     n);
+          },
+          bytes});
+    }
+    const sparse::DistCsr dist(full, part, 0);
+    constexpr int kDegree = 4;
+    auto cheb = std::make_shared<const precond::ChebyshevPolynomial>(
+        dist, kDegree, precond::kChebyshevPowerIters);
+    const auto n = static_cast<std::size_t>(dist.n_local());
+    // Block nnz: the piece's minus its ghost-column entries.
+    const sparse::CsrMatrix block = dist.local_diagonal_block();
+    for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+      std::vector<double> x(n * k);
+      util::Xoshiro256 rng(30 + k);
+      util::fill_normal(rng, x);
+      // Per column: the init pass (3 flops/row), then degree - 1 scaled
+      // SpMVs (2 flops/nnz + 1/row) each followed by the r/p/y pass
+      // (6 flops/row).
+      const double flops =
+          static_cast<double>(k) *
+          (3.0 * static_cast<double>(n) +
+           (kDegree - 1) * (2.0 * static_cast<double>(block.nnz()) +
+                            7.0 * static_cast<double>(n)));
+      cases.push_back(Case{
+          "cheb_apply",
+          std::to_string(n) + " rows 27pt deg=" + std::to_string(kDegree) +
+              " k=" + std::to_string(k),
+          flops,
+          [cheb, x = std::move(x), n, k](std::vector<double>& out) {
+            out.assign(n * k, 0.0);
+            cheb->apply_multi(n, k, x.data(), n, out.data(), n);
+          }});
+    }
+  }
+  {
     Matrix a = random_matrix(m, 2, 6);
     cases.push_back(Case{
         "dot", std::to_string(m),
@@ -292,7 +376,7 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"kernel", "shape", "threads", "best (ms)", "GFLOP/s",
-                     "speedup", "bitwise"});
+                     "GB/s", "speedup", "bitwise"});
   std::vector<Measurement> results;
 
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
@@ -321,15 +405,21 @@ int main(int argc, char** argv) {
       }
       meas.seconds = best;
       meas.gflops = best > 0.0 ? bench.flops / best * 1e-9 : 0.0;
+      meas.gbs = best > 0.0 ? bench.bytes / best * 1e-9 : 0.0;
       if (t == threads.front()) serial_seconds = best;
 
-      table.row()
-          .add(meas.kernel)
-          .add(meas.shape)
-          .add(t)
-          .add(best * 1e3, 3)
-          .add(meas.gflops, 2)
-          .add(util::speedup_str(serial_seconds, best))
+      util::Table& row = table.row()
+                             .add(meas.kernel)
+                             .add(meas.shape)
+                             .add(t)
+                             .add(best * 1e3, 3)
+                             .add(meas.gflops, 2);
+      if (bench.bytes > 0.0) {
+        row.add(meas.gbs, 2);
+      } else {
+        row.add("-");
+      }
+      row.add(util::speedup_str(serial_seconds, best))
           .add(meas.deterministic && meas.matches_serial ? "ok" : "MISMATCH");
       results.push_back(meas);
     }
@@ -359,8 +449,9 @@ int main(int argc, char** argv) {
           .kv("simd", meas.simd)
           .kv("threads", meas.threads)
           .kv("seconds", meas.seconds)
-          .kv("gflops", meas.gflops)
-          .kv("deterministic", meas.deterministic)
+          .kv("gflops", meas.gflops);
+      if (meas.gbs > 0.0) w.kv("gbs", meas.gbs);
+      w.kv("deterministic", meas.deterministic)
           .kv("matches_serial", meas.matches_serial);
       w.end_object();
     }

@@ -141,9 +141,9 @@ SolveResult gmres(par::Communicator& comm, const sparse::DistCsr& a,
     }
   }
 
-  res.timers.stop(util::Phase::kTotal);
   residual(comm, a, b, x, r, tmp, &res.timers);
   const double final_norm = ortho::global_norm(octx, r);
+  res.timers.stop(util::Phase::kTotal);
   res.true_relres = ref > 0.0 ? final_norm / ref : 0.0;
   res.comm_stats = par::subtract(comm.stats(), comm_before);
   res.cholesky_breakdowns = octx.cholesky_breakdowns;

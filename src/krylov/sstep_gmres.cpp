@@ -516,10 +516,10 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
   }
 
   // Exit: explicit residuals of EVERY column, frozen ones included.
-  res.timers.stop(util::Phase::kTotal);
   std::vector<index_t> all(static_cast<std::size_t>(k));
   std::iota(all.begin(), all.end(), 0);
   residual(all);
+  res.timers.stop(util::Phase::kTotal);
   for (index_t t = 0; t < k; ++t) {
     RhsResult& rr = res.rhs_results[static_cast<std::size_t>(t)];
     const double rcol = ref[static_cast<std::size_t>(t)];

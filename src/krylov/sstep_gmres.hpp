@@ -26,7 +26,9 @@
 // The width-1 kernels are chosen by the layers below, keyed on the
 // width they observe: DistCsr::spmm runs the gather-vectorized
 // single-vector row kernel at one column, and
-// Preconditioner::apply_multi's default is one apply() per column;
+// Preconditioner::apply_multi keeps each column's apply() bits (one
+// apply() per column by default; Chebyshev's fused chunks run a
+// width-1 chunk at one column, which is its apply());
 // dense::BlockHessenbergLeastSquares runs Givens at b = 1 and
 // Householder-on-H above; ortho::residual_gram / seed_block take the
 // sumsq + all-reduce norm and the r / gamma seed at one column (no Gram

@@ -1,11 +1,67 @@
 #include "precond/chebyshev.hpp"
 
+#include "par/config.hpp"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <utility>
 
 namespace tsbo::precond {
+
+namespace {
+
+/// z = D^{-1} A y on rows [begin, end) of n x W row-major operands.
+/// Each column accumulates its row in ascending nnz order and scales
+/// the finished sum, whatever W is, so a column's bits do not depend on
+/// the width of the chunk it rides in.
+template <std::size_t W>
+void scaled_spmv_rows(const sparse::CsrMatrix& a, const double* inv_diag,
+                      std::size_t begin, std::size_t end, const double* y,
+                      double* z) {
+  const sparse::offset* rp = a.row_ptr.data();
+  const sparse::ord* col = a.col_idx.data();
+  const double* val = a.values.data();
+  for (std::size_t i = begin; i < end; ++i) {
+    double acc[W];
+    for (std::size_t t = 0; t < W; ++t) acc[t] = 0.0;
+    for (sparse::offset k = rp[i]; k < rp[i + 1]; ++k) {
+      const double v = val[k];
+      const double* yr = y + static_cast<std::size_t>(col[k]) * W;
+      for (std::size_t t = 0; t < W; ++t) acc[t] += v * yr[t];
+    }
+    for (std::size_t t = 0; t < W; ++t) z[i * W + t] = acc[t] * inv_diag[i];
+  }
+}
+
+/// f.operator()<W>() for the compile-time W == w, 1 <= w <= Max.
+template <std::size_t Max, typename F>
+void with_width(std::size_t w, const F& f) {
+  if constexpr (Max > 1) {
+    if (w < Max) return with_width<Max - 1>(w, f);
+  }
+  f.template operator()<Max>();
+}
+
+/// Stores entry(i, t), the new y of column t at row i, for rows
+/// [begin, end): into the n x W row-major iterate yk, or, when
+/// `to_output` (the last pass of a W > 1 chunk), into the column-major
+/// output y.  At W = 1 the iterate is the output column.
+template <std::size_t W, typename Entry>
+void store_rows(std::size_t begin, std::size_t end, bool to_output,
+                double* yk, double* y, std::size_t ldy, const Entry& entry) {
+  if (W > 1 && to_output) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t t = 0; t < W; ++t) y[t * ldy + i] = entry(i, t);
+    }
+  } else {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t t = 0; t < W; ++t) yk[i * W + t] = entry(i, t);
+    }
+  }
+}
+
+}  // namespace
 
 ChebyshevSetup::ChebyshevSetup(const sparse::DistCsr& a) {
   // Rank-local diagonal block (ghosts dropped), built from the
@@ -49,15 +105,10 @@ ChebyshevSetup::ChebyshevSetup(const sparse::DistCsr& a, double lmin_in,
 
 void ChebyshevSetup::scaled_spmv(std::span<const double> x,
                                  std::span<double> y) const {
-  const sparse::ord n = block.rows;
-  for (sparse::ord i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (sparse::offset k = block.row_ptr[i]; k < block.row_ptr[i + 1]; ++k) {
-      s += block.values[static_cast<std::size_t>(k)] *
-           x[static_cast<std::size_t>(block.col_idx[static_cast<std::size_t>(k)])];
-    }
-    y[static_cast<std::size_t>(i)] = s * inv_diag[static_cast<std::size_t>(i)];
-  }
+  assert(x.size() == inv_diag.size() && y.size() == inv_diag.size());
+  par::parallel_for_grained(x.size(), [&](std::size_t b, std::size_t e) {
+    scaled_spmv_rows<1>(block, inv_diag.data(), b, e, x.data(), y.data());
+  });
 }
 
 std::size_t ChebyshevSetup::bytes() const {
@@ -81,40 +132,86 @@ ChebyshevPolynomial::ChebyshevPolynomial(
   const auto n = setup_->inv_diag.size();
   p_.assign(n, 0.0);
   z_.assign(n, 0.0);
-  r_.assign(n, 0.0);
 }
 
 void ChebyshevPolynomial::apply(std::span<const double> x,
                                 std::span<double> y) const {
   assert(x.size() == setup_->inv_diag.size() &&
          y.size() == setup_->inv_diag.size());
-  const std::size_t n = x.size();
-  const util::aligned_vector<double>& inv_diag = setup_->inv_diag;
+  apply_chunk<1>(x.data(), x.size(), y.data(), y.size());
+}
 
+void ChebyshevPolynomial::apply_multi([[maybe_unused]] std::size_t n,
+                                      std::size_t ncols, const double* x,
+                                      std::size_t ldx, double* y,
+                                      std::size_t ldy) const {
+  assert(n == setup_->inv_diag.size());
+  for (std::size_t t0 = 0; t0 < ncols; t0 += kMaxWidth) {
+    with_width<kMaxWidth>(
+        std::min(kMaxWidth, ncols - t0), [&]<std::size_t W>() {
+          apply_chunk<W>(x + t0 * ldx, ldx, y + t0 * ldy, ldy);
+        });
+  }
+}
+
+template <std::size_t W>
+void ChebyshevPolynomial::apply_chunk(const double* x, std::size_t ldx,
+                                      double* y, std::size_t ldy) const {
+  const std::size_t n = setup_->inv_diag.size();
+  const double* inv_diag = setup_->inv_diag.data();
+  if (degree_ < 1) {
+    for (std::size_t t = 0; t < W; ++t) std::fill_n(y + t * ldy, n, 0.0);
+    return;
+  }
+  if (p_.size() < n * W) {
+    p_.resize(n * W);
+    z_.resize(n * W);
+  }
+  if (W > 1 && y_.size() < n * W) y_.resize(n * W);
+  double* const p = p_.data();
+  double* const z = z_.data();
+  // The iterate: row-major scratch for W > 1; at W = 1 the two layouts
+  // coincide, so the recurrence iterates in the output column itself.
+  double* const yk = W > 1 ? y_.data() : y;
   // Chebyshev acceleration (Saad, "Iterative Methods for Sparse Linear
   // Systems", Alg. 12.1) on the Jacobi-scaled system D^{-1}A y = D^{-1}x
-  // over the interval [lmin, lmax].
+  // over the interval [lmin, lmax], from y = 0.
   const double theta = 0.5 * (setup_->lmax + setup_->lmin);
   const double delta = 0.5 * (setup_->lmax - setup_->lmin);
   const double sigma1 = theta / delta;
   double rho = 1.0 / sigma1;
 
-  std::fill(y.begin(), y.end(), 0.0);
-  // r = D^{-1} x (y = 0); d = r / theta.
-  for (std::size_t i = 0; i < n; ++i) {
-    r_[i] = x[i] * inv_diag[i];
-    p_[i] = r_[i] / theta;
-  }
-  for (int k = 0; k < degree_; ++k) {
-    for (std::size_t i = 0; i < n; ++i) y[i] += p_[i];
-    if (k + 1 == degree_) break;
-    // r = D^{-1}x - D^{-1}A y
-    setup_->scaled_spmv(y, z_);
-    for (std::size_t i = 0; i < n; ++i) r_[i] = x[i] * inv_diag[i] - z_[i];
+  // r = D^{-1} x; p = r / theta; y = 0 + p.  Each pass stores y into
+  // the iterate, the last one into the output.
+  par::parallel_for_grained(n, [&](std::size_t b, std::size_t e) {
+    store_rows<W>(b, e, degree_ == 1, yk, y, ldy,
+                  [&](std::size_t i, std::size_t t) {
+                    const double r = x[t * ldx + i] * inv_diag[i];
+                    const double pv = r / theta;
+                    p[i * W + t] = pv;
+                    return 0.0 + pv;
+                  });
+  });
+  for (int k = 1; k < degree_; ++k) {
+    par::parallel_for_grained(n, [&](std::size_t b, std::size_t e) {
+      scaled_spmv_rows<W>(setup_->block, inv_diag, b, e, yk, z);
+    });
     const double rho_next = 1.0 / (2.0 * sigma1 - rho);
     const double c1 = rho_next * rho;
     const double c2 = 2.0 * rho_next / delta;
-    for (std::size_t i = 0; i < n; ++i) p_[i] = c1 * p_[i] + c2 * r_[i];
+    // r = D^{-1}x - D^{-1}A y; p = c1 p + c2 r; y += p.  z is read back
+    // from the SpMV pass's store: formed in a register, its product
+    // could contract into r's subtraction and change the bits.
+    par::parallel_for_grained(n, [&](std::size_t b, std::size_t e) {
+      store_rows<W>(b, e, k + 1 == degree_, yk, y, ldy,
+                    [&](std::size_t i, std::size_t t) {
+                      const double r =
+                          x[t * ldx + i] * inv_diag[i] - z[i * W + t];
+                      const double pv = c1 * p[i * W + t] + c2 * r;
+                      p[i * W + t] = pv;
+                      return yk[i * W + t] + pv;
+                    });
+    });
     rho = rho_next;
   }
 }

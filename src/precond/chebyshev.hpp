@@ -14,6 +14,13 @@
 // service (src/service/) can pay for it once per operator and reuse it
 // across solves.  The fused constructors delegate to the same code
 // path, so both routes yield bitwise-identical preconditioners.
+//
+// apply_multi (the block solver's path) runs the columns in chunks of
+// up to kMaxWidth, one compile-time-width recurrence per chunk, with
+// the chunk's iterate, search direction and scaled product kept
+// row-major (k-interleaved) so each nonzero of the scaled SpMV loads
+// the chunk's W iterate values in one contiguous read; apply() is the
+// width-1 chunk.  Every pass splits its rows over the rank's lanes.
 
 #include "precond/preconditioner.hpp"
 #include "sparse/dist_csr.hpp"
@@ -51,7 +58,8 @@ struct ChebyshevSetup {
   double lmin = 0.1;
 
   /// y = D^{-1} A_local x on the stored block (the operator the power
-  /// method and the Chebyshev recurrence both iterate with).
+  /// method and the Chebyshev recurrence both iterate with), split over
+  /// the calling rank's lanes; the recurrence's width-1 row loop.
   void scaled_spmv(std::span<const double> x, std::span<double> y) const;
 
   /// Approximate heap footprint (operator-cache byte accounting).
@@ -80,7 +88,17 @@ class ChebyshevPolynomial final : public Preconditioner {
   /// interval parameters.
   ChebyshevPolynomial(std::shared_ptr<const ChebyshevSetup> setup, int degree);
 
+  /// The width-1 call of apply_multi's recurrence.
   void apply(std::span<const double> x, std::span<double> y) const override;
+
+  /// Fused multi-column apply: columns go in chunks of 1..kMaxWidth,
+  /// each chunk one compile-time-width recurrence whose scaled SpMV
+  /// streams the block once for the whole chunk; every pass splits its
+  /// rows over the rank's lanes.  Each column's bits equal a lone
+  /// apply() of that column.
+  void apply_multi(std::size_t n, std::size_t ncols, const double* x,
+                   std::size_t ldx, double* y, std::size_t ldy) const override;
+
   [[nodiscard]] std::string name() const override { return "Chebyshev"; }
 
   [[nodiscard]] double lambda_max() const { return setup_->lmax; }
@@ -88,9 +106,21 @@ class ChebyshevPolynomial final : public Preconditioner {
  private:
   std::shared_ptr<const ChebyshevSetup> setup_;
   int degree_;
-  // Per-instance scratch: apply() mutates these, so instances are not
-  // safe for concurrent applies even though the shared setup is.
-  mutable util::aligned_vector<double> p_, z_, r_;
+  /// Widest column chunk of apply_multi.
+  static constexpr std::size_t kMaxWidth = 4;
+
+  template <std::size_t W>
+  void apply_chunk(const double* x, std::size_t ldx, double* y,
+                   std::size_t ldy) const;
+
+  // Per-instance scratch, n x W row-major for a W-column chunk (entry
+  // (i, t) at [i*W + t]): the search direction p, the scaled product
+  // z = D^{-1}A y, and the iterate y (a width-1 chunk iterates in the
+  // output column itself, so y_ stays empty until a wider chunk runs).
+  // Sized n at construction and grown to n*W by the first W-wide
+  // chunk.  Applies mutate these, so instances are not safe for
+  // concurrent applies even though the shared setup is.
+  mutable util::aligned_vector<double> p_, z_, y_;
 };
 
 }  // namespace tsbo::precond

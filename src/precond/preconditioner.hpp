@@ -27,9 +27,10 @@ class Preconditioner {
   /// x (leading dimension ldx) maps to column t of y (ldy).  All
   /// provided preconditioners are local and column-independent, so the
   /// default is a per-column apply() loop — each column's bits match a
-  /// single-vector apply exactly.  Subclasses may override to fuse the
-  /// sweep (stream M once for all columns) as long as per-column bits
-  /// are preserved.
+  /// single-vector apply exactly.  ChebyshevPolynomial overrides it to
+  /// fuse the sweep (its block is streamed once per chunk of up to four
+  /// columns, across the rank's lanes); any override must keep each
+  /// column's bits equal to a lone apply().
   virtual void apply_multi(std::size_t n, std::size_t ncols, const double* x,
                            std::size_t ldx, double* y, std::size_t ldy) const {
     for (std::size_t t = 0; t < ncols; ++t) {

@@ -73,6 +73,42 @@ inline void spmv_range_scaled(double alpha, const CsrMatrix& a, ord begin,
   }
 }
 
+// Widest compile-time column chunk of spmm_rows_mapped.
+constexpr ord kSpmmMaxCols = 8;
+
+/// f.operator()<W>() for the compile-time W == w, 1 <= w <= Max.
+template <ord Max, typename F>
+inline void with_cols(ord w, const F& f) {
+  if constexpr (Max > 1) {
+    if (w < Max) return with_cols<Max - 1>(w, f);
+  }
+  f.template operator()<Max>();
+}
+
+/// Rows [begin, end) of a W-column chunk: row i of `a` times columns
+/// [0, W) of the k-interleaved operand x (entry (j, t) at x[j*k + t]),
+/// scattered to y[t*ldy + rows[i]].  Each column accumulates in plain
+/// serial nnz order, independent of W and of the other columns.
+template <ord W>
+inline void spmm_chunk(const offset* rp, const ord* col, const double* val,
+                       const ord* rows, std::size_t begin, std::size_t end,
+                       const double* x, ord k, double* y, std::size_t ldy) {
+  for (std::size_t i = begin; i < end; ++i) {
+    double acc[W];
+    for (ord t = 0; t < W; ++t) acc[t] = 0.0;
+    for (offset kk = rp[i]; kk < rp[i + 1]; ++kk) {
+      const double* xrow =
+          x + static_cast<std::size_t>(col[kk]) * static_cast<std::size_t>(k);
+      const double akk = val[kk];
+      for (ord t = 0; t < W; ++t) acc[t] += akk * xrow[t];
+    }
+    const std::size_t row = static_cast<std::size_t>(rows[i]);
+    for (ord t = 0; t < W; ++t) {
+      y[static_cast<std::size_t>(t) * ldy + row] = acc[t];
+    }
+  }
+}
+
 }  // namespace
 
 void spmv(const CsrMatrix& a, std::span<const double> x, std::span<double> y) {
@@ -127,30 +163,16 @@ void spmm_rows_mapped(const CsrMatrix& a, std::span<const ord> rows,
   const offset* rp = a.row_ptr.data();
   const ord* col = a.col_idx.data();
   const double* val = a.values.data();
-  // Column chunks bound the accumulator set; each column's per-row sum
-  // still runs in ascending nnz order regardless of the chunking.
-  constexpr ord kColChunk = 16;
+  // Column chunks of a compile-time width keep the accumulators in
+  // registers; each column's per-row sum still runs in ascending nnz
+  // order regardless of the chunking.
   par::parallel_for_grained(rows.size(), [&](std::size_t b, std::size_t e) {
-    double acc[kColChunk];
-    for (ord t0 = 0; t0 < k; t0 += kColChunk) {
-      const ord tn = std::min<ord>(kColChunk, k - t0);
-      for (std::size_t i = b; i < e; ++i) {
-        for (ord t = 0; t < tn; ++t) acc[t] = 0.0;
-        const offset len = rp[i + 1] - rp[i];
-        const ord* c = col + rp[i];
-        const double* v = val + rp[i];
-        for (offset kk = 0; kk < len; ++kk) {
-          const double* xrow = xk + static_cast<std::size_t>(c[kk]) *
-                                        static_cast<std::size_t>(k) +
-                               t0;
-          const double akk = v[kk];
-          for (ord t = 0; t < tn; ++t) acc[t] += akk * xrow[t];
-        }
-        const std::size_t row = static_cast<std::size_t>(rows[i]);
-        for (ord t = 0; t < tn; ++t) {
-          y[(static_cast<std::size_t>(t0) + t) * ldy + row] = acc[t];
-        }
-      }
+    for (ord t0 = 0; t0 < k; t0 += kSpmmMaxCols) {
+      const ord w = std::min<ord>(kSpmmMaxCols, k - t0);
+      with_cols<kSpmmMaxCols>(w, [&]<ord W>() {
+        spmm_chunk<W>(rp, col, val, rows.data(), b, e, xk + t0, k,
+                      y + static_cast<std::size_t>(t0) * ldy, ldy);
+      });
     }
   });
 }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -377,6 +378,35 @@ TEST(SolveReport, ReportLogAggregatesAndSaves) {
   EXPECT_FALSE(log.save("none"));
   const std::string path = ::testing::TempDir() + "tsbo_api_log.json";
   EXPECT_TRUE(log.save(path));
+}
+
+TEST(SolveReport, LeafPhasesFitInsideTotal) {
+  // Every leaf bucket is timed inside `total`, the exit residual's
+  // SpMV, halo exchange and norm reduce included, so at one rank (no
+  // max-across-ranks merge) the leaves cannot sum past the total.  A
+  // 50 ms delay on the solve's last all-reduce (the exit residual's
+  // norm, timed as ortho/reduce) makes a reduce outside `total` show.
+  for (const char* solver_spec :
+       {"solver=gmres ortho=cgs2 m=10", "solver=sstep ortho=two_stage"}) {
+    const std::string spec =
+        std::string(solver_spec) +
+        " matrix=laplace2d_9pt nx=32 ranks=1 rtol=1e-30 max_restarts=2";
+    api::Solver clean(api::SolverOptions::parse(spec));
+    const std::uint64_t reduces = clean.solve().result.comm_stats.allreduces;
+    ASSERT_GT(reduces, 0u) << spec;
+    api::Solver delayed(api::SolverOptions::parse(
+        spec + " faults=comm.allreduce@" + std::to_string(reduces - 1) +
+        ":delay50"));
+    const util::PhaseTimers& timers = delayed.solve().result.timers;
+    EXPECT_GE(timers.seconds(util::Phase::kOrthoReduce), 0.05) << spec;
+    double leaves = 0.0;
+    for (std::size_t p = 0; p < util::kPhaseCount; ++p) {
+      if (static_cast<util::Phase>(p) != util::Phase::kTotal) {
+        leaves += timers.seconds(static_cast<util::Phase>(p));
+      }
+    }
+    EXPECT_LE(leaves, timers.seconds(util::Phase::kTotal)) << spec;
+  }
 }
 
 // ---- observer --------------------------------------------------------

@@ -1,6 +1,8 @@
 // Preconditioners: Jacobi, multicolor Gauss-Seidel, Chebyshev.
 
+#include "par/config.hpp"
 #include "par/spmd.hpp"
+#include "par/thread_pool.hpp"
 #include "precond/chebyshev.hpp"
 #include "precond/gauss_seidel.hpp"
 #include "precond/jacobi.hpp"
@@ -11,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <vector>
 
 namespace {
@@ -229,6 +234,154 @@ TEST(Chebyshev, HigherDegreeIsMoreAccurate) {
     return std::sqrt(rn);
   };
   EXPECT_LT(residual_for(10), residual_for(3));
+}
+
+
+// The serial Chebyshev apply and power-method setup as they stood
+// before the multi-column apply fused the sweep: the bitwise reference
+// for every width, lane count and degree.
+namespace reference {
+
+void scaled_spmv(const precond::ChebyshevSetup& s, const double* x,
+                 double* y) {
+  const sparse::CsrMatrix& block = s.block;
+  for (sparse::ord i = 0; i < block.rows; ++i) {
+    double acc = 0.0;
+    for (sparse::offset k = block.row_ptr[i]; k < block.row_ptr[i + 1]; ++k) {
+      acc += block.values[static_cast<std::size_t>(k)] *
+             x[static_cast<std::size_t>(
+                 block.col_idx[static_cast<std::size_t>(k)])];
+    }
+    y[static_cast<std::size_t>(i)] =
+        acc * s.inv_diag[static_cast<std::size_t>(i)];
+  }
+}
+
+double power_lmax(const precond::ChebyshevSetup& s, int power_iters) {
+  const std::size_t n = s.inv_diag.size();
+  std::vector<double> v(n, 1.0), w(n);
+  double lambda = 1.0;
+  for (int it = 0; it < power_iters; ++it) {
+    scaled_spmv(s, v.data(), w.data());
+    double nrm = 0.0;
+    for (const double val : w) nrm += val * val;
+    nrm = std::sqrt(nrm);
+    if (nrm == 0.0) break;
+    lambda = nrm;
+    for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / nrm;
+  }
+  return 1.1 * lambda;
+}
+
+void chebyshev_apply(const precond::ChebyshevSetup& s, int degree,
+                     const double* x, double* y) {
+  const std::size_t n = s.inv_diag.size();
+  const double* inv_diag = s.inv_diag.data();
+  std::vector<double> p(n), z(n), r(n);
+  const double theta = 0.5 * (s.lmax + s.lmin);
+  const double delta = 0.5 * (s.lmax - s.lmin);
+  const double sigma1 = theta / delta;
+  double rho = 1.0 / sigma1;
+  std::fill(y, y + n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = x[i] * inv_diag[i];
+    p[i] = r[i] / theta;
+  }
+  for (int k = 0; k < degree; ++k) {
+    for (std::size_t i = 0; i < n; ++i) y[i] += p[i];
+    if (k + 1 == degree) break;
+    scaled_spmv(s, y, z.data());
+    for (std::size_t i = 0; i < n; ++i) r[i] = x[i] * inv_diag[i] - z[i];
+    const double rho_next = 1.0 / (2.0 * sigma1 - rho);
+    const double c1 = rho_next * rho;
+    const double c2 = 2.0 * rho_next / delta;
+    for (std::size_t i = 0; i < n; ++i) p[i] = c1 * p[i] + c2 * r[i];
+    rho = rho_next;
+  }
+}
+
+}  // namespace reference
+
+/// Lowers the dispatch grain so test-sized rank pieces fan out over the
+/// rank pool's lanes; restores it on exit.
+class ScopedGrain {
+ public:
+  explicit ScopedGrain(std::size_t grain) : saved_(par::parallel_grain()) {
+    par::set_parallel_grain(grain);
+  }
+  ~ScopedGrain() { par::set_parallel_grain(saved_); }
+  ScopedGrain(const ScopedGrain&) = delete;
+  ScopedGrain& operator=(const ScopedGrain&) = delete;
+
+ private:
+  std::size_t saved_;
+};
+
+TEST(Chebyshev, ApplyMultiMatchesPerColumnReferenceBitwise) {
+  // apply_multi runs columns in compile-time-width chunks (k = 1..9
+  // covers every chunk tail) on k-interleaved scratch, every pass split
+  // over the rank's lanes; apply() is its width-1 call.  Each column
+  // must keep the bits of the serial per-column recurrence, at every
+  // lane count and degree, on padded (ld > n) operands, and must leave
+  // the padding alone.
+  const ScopedGrain grain(64);
+  std::vector<std::unique_ptr<par::ThreadPool>> pools;
+  for (const unsigned lanes : {1u, 2u, 7u}) {
+    pools.push_back(std::make_unique<par::ThreadPool>(lanes));
+  }
+  const sparse::CsrMatrix pieces[] = {sparse::laplace3d_27pt(12, 12, 12),
+                                      sparse::laplace2d_9pt(40, 40)};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const sparse::CsrMatrix& a : pieces) {
+    // Rank 1 of 2: its diagonal block drops the ghost columns.
+    const sparse::DistCsr dist(a, sparse::RowPartition(a.rows, 2), 1);
+    const auto setup = std::make_shared<const precond::ChebyshevSetup>(
+        dist, precond::kChebyshevPowerIters);
+    EXPECT_EQ(setup->lmax,
+              reference::power_lmax(*setup, precond::kChebyshevPowerIters));
+    EXPECT_EQ(setup->lmin, setup->lmax / 30.0);
+    const std::size_t n = setup->inv_diag.size();
+    const std::size_t ldx = n + 3, ldy = n + 5;
+    for (const int degree : {1, 2, 4, 7}) {
+      const precond::ChebyshevPolynomial m(setup, degree);
+      for (std::size_t k = 1; k <= 9; ++k) {
+        std::vector<double> x(ldx * k);
+        util::Xoshiro256 rng(100 + k);
+        util::fill_normal(rng, x);
+        // Signed zeros: y = 0 + p must turn a -0.0 search direction
+        // into +0.0, as the serial loop does.
+        for (std::size_t e = 0; e < x.size(); e += 7) x[e] = -0.0;
+        std::vector<double> want(n * k);
+        for (std::size_t t = 0; t < k; ++t) {
+          reference::chebyshev_apply(*setup, degree, x.data() + t * ldx,
+                                     want.data() + t * n);
+        }
+        for (const auto& pool : pools) {
+          const par::ScopedRankPool scope(*pool);
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " degree=" << degree << " k=" << k
+                       << " lanes=" << pool->size() + 1);
+          std::vector<double> y(ldy * k, nan);
+          m.apply_multi(n, k, x.data(), ldx, y.data(), ldy);
+          for (std::size_t t = 0; t < k; ++t) {
+            ASSERT_EQ(std::memcmp(y.data() + t * ldy, want.data() + t * n,
+                                  n * sizeof(double)),
+                      0)
+                << "apply_multi column " << t;
+            for (std::size_t i = n; i < ldy; ++i) {
+              ASSERT_TRUE(std::isnan(y[t * ldy + i])) << "padding " << t;
+            }
+          }
+          std::vector<double> y1(n);
+          m.apply(std::span<const double>(x.data() + (k - 1) * ldx, n), y1);
+          ASSERT_EQ(std::memcmp(y1.data(), want.data() + (k - 1) * n,
+                                n * sizeof(double)),
+                    0)
+              << "apply";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

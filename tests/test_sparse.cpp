@@ -1,6 +1,9 @@
 // CSR assembly, SpMV, transpose, scaling, MatrixMarket I/O.
 
+#include "par/config.hpp"
+#include "par/thread_pool.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/generators.hpp"
 #include "sparse/mm_io.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/spmv.hpp"
@@ -8,8 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 namespace {
 
@@ -168,6 +176,93 @@ TEST(Csr, DenseRowExtraction) {
   EXPECT_DOUBLE_EQ(row[0], 4.0);
   EXPECT_DOUBLE_EQ(row[1], 0.0);
   EXPECT_DOUBLE_EQ(row[2], 5.0);
+}
+
+
+/// spmm_rows_mapped as it stood with a runtime column count: 16-column
+/// chunks into a stack accumulator, each column summed in ascending nnz
+/// order.  The bitwise reference for the compile-time-width kernel.
+void spmm_reference(const CsrMatrix& a, const std::vector<ord>& rows,
+                    const double* xk, ord k, double* y, std::size_t ldy) {
+  constexpr ord kColChunk = 16;
+  double acc[kColChunk];
+  for (ord t0 = 0; t0 < k; t0 += kColChunk) {
+    const ord tn = std::min<ord>(kColChunk, k - t0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (ord t = 0; t < tn; ++t) acc[t] = 0.0;
+      for (auto kk = a.row_ptr[i]; kk < a.row_ptr[i + 1]; ++kk) {
+        const auto e = static_cast<std::size_t>(kk);
+        const double* xrow = xk +
+                             static_cast<std::size_t>(a.col_idx[e]) *
+                                 static_cast<std::size_t>(k) +
+                             t0;
+        const double akk = a.values[e];
+        for (ord t = 0; t < tn; ++t) acc[t] += akk * xrow[t];
+      }
+      const auto row = static_cast<std::size_t>(rows[i]);
+      for (ord t = 0; t < tn; ++t) {
+        y[(static_cast<std::size_t>(t0) + t) * ldy + row] = acc[t];
+      }
+    }
+  }
+}
+
+TEST(Spmv, SpmmMatchesRuntimeWidthReferenceBitwise) {
+  // Every column count k = 1..17 (each chunk width and tail) through a
+  // scattered row map into padded (ldy > rows) output, at rank-pool
+  // lanes {1, 2, 7}: each output column keeps the runtime-width
+  // kernel's bits, and rows outside the map and the padding stay
+  // untouched.
+  const std::size_t saved_grain = par::parallel_grain();
+  par::set_parallel_grain(64);
+  std::vector<std::unique_ptr<par::ThreadPool>> pools;
+  for (const unsigned lanes : {1u, 2u, 7u}) {
+    pools.push_back(std::make_unique<par::ThreadPool>(lanes));
+  }
+  // A 27-point stencil and an irregular matrix with 1..40 nnz rows.
+  std::vector<Triplet> irregular;
+  util::Xoshiro256 rng(3);
+  const ord n_irr = 700;
+  for (ord i = 0; i < n_irr; ++i) {
+    const int len = 1 + static_cast<int>(rng.next() % 40);
+    for (int e = 0; e < len; ++e) {
+      irregular.push_back({i, static_cast<ord>(rng.next() % n_irr),
+                           rng.normal()});
+    }
+  }
+  const CsrMatrix mats[] = {
+      sparse::laplace3d_27pt(10, 10, 10),
+      sparse::csr_from_triplets(n_irr, n_irr, irregular)};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const CsrMatrix& a : mats) {
+    // Every third output row is skipped; the others are reversed.
+    const auto out_rows = static_cast<std::size_t>(a.rows) * 3 / 2 + 1;
+    std::vector<ord> rows(static_cast<std::size_t>(a.rows));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t j = rows.size() - 1 - i;
+      rows[i] = static_cast<ord>(j + j / 2);
+    }
+    const std::size_t ldy = out_rows + 3;
+    for (ord k = 1; k <= 17; ++k) {
+      std::vector<double> xk(static_cast<std::size_t>(a.cols) *
+                             static_cast<std::size_t>(k));
+      util::fill_normal(rng, xk);
+      for (std::size_t e = 0; e < xk.size(); e += 5) xk[e] = -0.0;
+      std::vector<double> want(ldy * static_cast<std::size_t>(k), nan);
+      spmm_reference(a, rows, xk.data(), k, want.data(), ldy);
+      for (const auto& pool : pools) {
+        const par::ScopedRankPool scope(*pool);
+        std::vector<double> got(want.size(), nan);
+        sparse::spmm_rows_mapped(a, rows, xk.data(), k, got.data(), ldy);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "rows=" << a.rows << " k=" << k
+            << " lanes=" << pool->size() + 1;
+      }
+    }
+  }
+  par::set_parallel_grain(saved_grain);
 }
 
 }  // namespace
