@@ -16,6 +16,14 @@
 //                   rank's rows of paper2d_9pt (256^2 / 2 ranks = 32768)
 //                   against the s = 5 panel V, with q0 = 5, 30, 55
 //                   earlier basis columns in Q;
+//   * gram_tn     — the stage-2 fused Gram [Q V]^T V in one pass with
+//                   V^T V as its upper triangle (dense::gram_tn), at
+//                   32768 x (1+60) x 60 (paper2d_9pt) and
+//                   32000 x (4+240) x 240 (block4_3d27pt), beside
+//                   gram_tn_2gemm, the two-gemm_tn path at the same
+//                   shapes; GFLOP/s counts the flops each one needs
+//                   (the triangle's for gram_tn, the square's for the
+//                   pair);
 //   * gemm_tn_wide / gemm_nn_wide — the same products at the flat
 //                   panel widths the batched (rhs=k) block solver
 //                   produces (bs * k columns, --wide list), where the
@@ -32,6 +40,9 @@
 //   * cheb_apply  — the degree-4 Chebyshev preconditioner on the same
 //                   piece's diagonal block at k = 1, 4 columns
 //                   (ChebyshevPolynomial::apply_multi);
+//   * diag_block  — DistCsr::local_diagonal_block() on rank 1 of 2 of
+//                   the same matrix (timed; GB/s over the piece's
+//                   entries read and the block written);
 //   * dot, axpy   — BLAS-1 baselines for context.
 // Every record carries a "simd" field naming the ISA the build's
 // kernel layer dispatched to (avx512 / avx2 / neon / scalar, see
@@ -74,6 +85,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -236,6 +248,41 @@ int main(int argc, char** argv) {
           dense::gemm_tn(1.0, qv.view(), qv.view().columns(p - 5, 5), 0.0, g);
         }});
   }
+  // The stage-2 fused Gram [Q V]^T V at the two perfbench shapes:
+  // paper2d_9pt's rank rows against bs = 60 with the one seed column,
+  // and block4_3d27pt's against the 4 x 60 flat panel with its 4 seed
+  // columns.  gram_tn counts the flops of Q^T V and V^T V's upper
+  // triangle; gram_tn_2gemm is the two-gemm_tn path it replaces
+  // (Q^T V, then the full V^T V square) at the same shape, counting
+  // the full square.
+  for (const auto& [gm, nq, gs] :
+       {std::tuple<index_t, index_t, index_t>{32768, 1, 60},
+        std::tuple<index_t, index_t, index_t>{32000, 4, 240}}) {
+    const index_t p = nq + gs;
+    const std::string shape = std::to_string(gm) + "x(" + std::to_string(nq) +
+                              "+" + std::to_string(gs) + ")x" +
+                              std::to_string(gs);
+    auto qv = std::make_shared<const Matrix>(random_matrix(gm, p, 19));
+    const auto size = static_cast<std::size_t>(p) * static_cast<std::size_t>(gs);
+    cases.push_back(Case{
+        "gram_tn", shape,
+        2.0 * gm * (nq * gs + gs * (gs + 1) / 2.0),
+        [qv, nq, gs, p, size](std::vector<double>& out) {
+          out.assign(size, 0.0);
+          dense::gram_tn(qv->view().columns(0, nq), qv->view().columns(nq, gs),
+                         dense::MatrixView{out.data(), p, gs, p});
+        }});
+    cases.push_back(Case{
+        "gram_tn_2gemm", shape, 2.0 * gm * p * gs,
+        [qv, nq, gs, p, size](std::vector<double>& out) {
+          out.assign(size, 0.0);
+          const dense::ConstMatrixView v = qv->view().columns(nq, gs);
+          dense::gemm_tn(1.0, qv->view().columns(0, nq), v, 0.0,
+                         dense::MatrixView{out.data(), nq, gs, p});
+          dense::gemm_tn(1.0, v, v, 0.0,
+                         dense::MatrixView{out.data() + nq, gs, gs, p});
+        }});
+  }
   // Wide-panel (block rhs=k) shapes: same kernels, flat panel width
   // bs * k.  These are the shapes the kColBlock small-operand tiling
   // targets; the bitwise columns double as proof the tiling preserved
@@ -317,6 +364,23 @@ int main(int argc, char** argv) {
           },
           bytes});
     }
+    // The rank-1-of-2 piece's ghost-stripped diagonal block, which the
+    // preconditioner setup builds inside every solve.  GB/s counts the
+    // piece's CSR entries read once and the block's arrays written.
+    auto dist1 = std::make_shared<const sparse::DistCsr>(full, part, 1);
+    const sparse::CsrMatrix block1 = dist1->local_diagonal_block();
+    cases.push_back(Case{
+        "diag_block", std::to_string(dist1->n_local()) + " rows 27pt rank 1/2",
+        0.0,
+        [dist1](std::vector<double>& out) {
+          const sparse::CsrMatrix d = dist1->local_diagonal_block();
+          out.assign(d.values.begin(), d.values.end());
+          out.insert(out.end(), d.col_idx.begin(), d.col_idx.end());
+          out.insert(out.end(), d.row_ptr.begin(), d.row_ptr.end());
+        },
+        static_cast<double>(dist1->nnz_local()) *
+                (sizeof(sparse::ord) + sizeof(double)) +
+            static_cast<double>(block1.storage_bytes())});
     const sparse::DistCsr dist(full, part, 0);
     constexpr int kDegree = 4;
     auto cheb = std::make_shared<const precond::ChebyshevPolynomial>(

@@ -349,11 +349,21 @@ void gemm_nn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
       });
 }
 
-void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
-             MatrixView c) {
-  assert(a.cols == c.rows && a.rows == b.rows && b.cols == c.cols);
-  const index_t m = a.rows, p = a.cols, n = b.cols;
-  scale_columns(beta, c);
+namespace {
+
+/// C += alpha * [A0 A1]^T B over the fixed chunk schedule, after the
+/// caller's beta prologue.  The A operand comes from two column
+/// sources: rows [0, A0.cols) of C from A0, rows [A0.cols, p) from A1.
+/// Each source runs its own register-tile sweep, so no tile straddles
+/// the two and they need not be adjacent in memory.  With `upper`,
+/// A1 == B and the A1 x B block is symmetric: tiles wholly below its
+/// diagonal are skipped, and that block's strict lower triangle is
+/// mirrored from the upper one after the combine.
+void tn_product(double alpha, ConstMatrixView a0, ConstMatrixView a1,
+                ConstMatrixView b, bool upper, MatrixView c) {
+  const index_t m = b.rows, nq = a0.cols, p = nq + a1.cols, n = b.cols;
+  assert(c.rows == p && c.cols == n && a1.rows == m);
+  assert(nq == 0 || a0.rows == m);
   if (alpha == 0.0 || m == 0 || p == 0 || n == 0) return;
 
   // Deterministic chunked reduction over the long row dimension: one
@@ -376,16 +386,24 @@ void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
       // L1 while every A column block streams past it once.
       for (index_t jt = 0; jt < n; jt += kTnColTile) {
         const index_t jhi = std::min(n, jt + kTnColTile);
-        for (index_t i0 = 0; i0 < p; i0 += kTnI) {
-          const index_t ni = std::min<index_t>(kTnI, p - i0);
-          for (index_t j0 = jt; j0 < jhi; j0 += kTnJ) {
-            with_tile<kTnI, kTnJ>(
-                ni, std::min<index_t>(kTnJ, jhi - j0), [&]<int I, int J>() {
-                  dot_tile<I, J>(a.col(i0) + r0, a.ld, b.col(j0) + r0, b.ld,
-                                 nb, part + offset(j0, p) + i0, p);
-                });
+        const auto sweep = [&](ConstMatrixView a, index_t base, bool tri) {
+          // In the symmetric block, A columns at or past jhi only meet
+          // B columns below the diagonal.
+          const index_t ihi = tri ? std::min(a.cols, jhi) : a.cols;
+          for (index_t i0 = 0; i0 < ihi; i0 += kTnI) {
+            const index_t ni = std::min<index_t>(kTnI, a.cols - i0);
+            for (index_t j0 = jt; j0 < jhi; j0 += kTnJ) {
+              const index_t nj = std::min<index_t>(kTnJ, jhi - j0);
+              if (tri && i0 >= j0 + nj) continue;  // wholly below diagonal
+              with_tile<kTnI, kTnJ>(ni, nj, [&]<int I, int J>() {
+                dot_tile<I, J>(a.col(i0) + r0, a.ld, b.col(j0) + r0, b.ld,
+                               nb, part + offset(j0, p) + base + i0, p);
+              });
+            }
           }
-        }
+        };
+        sweep(a0, 0, false);
+        sweep(a1, nq, upper);
       }
     }
   };
@@ -394,6 +412,12 @@ void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
       double* cj = c.col(j);
       const double* pj = part + static_cast<std::size_t>(j) * p;
       for (index_t i = 0; i < p; ++i) cj[i] += alpha * pj[i];
+    }
+  };
+  const auto mirror = [&] {
+    if (!upper) return;
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = j + 1; i < n; ++i) c(nq + i, j) = c(nq + j, i);
     }
   };
 
@@ -412,6 +436,7 @@ void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
       accumulate(part.data(), rlo, rhi);
       combine(part.data());
     }
+    mirror();
     return;
   }
 
@@ -430,6 +455,23 @@ void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
   for (std::size_t ci = 0; ci < nchunks; ++ci) {
     combine(partials.data() + ci * stride);
   }
+  mirror();
+}
+
+}  // namespace
+
+void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
+             MatrixView c) {
+  assert(a.cols == c.rows && a.rows == b.rows && b.cols == c.cols);
+  scale_columns(beta, c);
+  tn_product(alpha, ConstMatrixView{nullptr, a.rows, 0, a.rows}, a, b, false,
+             c);
+}
+
+void gram_tn(ConstMatrixView q, ConstMatrixView v, MatrixView g) {
+  assert(g.rows == q.cols + v.cols && g.cols == v.cols);
+  scale_columns(0.0, g);
+  tn_product(1.0, q, v, v, true, g);
 }
 
 void gemm_nt(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,

@@ -28,10 +28,17 @@
 //   trsm     each element is an FMA chain with -u(l, j) in ascending l,
 //            skipping every (l, j) with u(l, j) == 0.0, ended by a
 //            multiply by 1.0 / u(j, j).
-// gemm_tn runs its chunks inline below 1 M multiply-adds (m * p * n),
-// and on the calling rank's lanes from there up; a single-lane rank or
-// a nested caller runs the same chunk schedule inline.  Either way the
-// bits are the same.
+//   gram_tn  every computed element has gemm_tn's arithmetic above
+//            (alpha = 1, beta = 0): the Q^T V rows equal gemm_tn(Q, V)
+//            and the V^T V block's upper triangle equals gemm_tn(V, V)
+//            bit for bit.  Its strict lower triangle is not summed but
+//            copied from the upper one, which changes no bit because
+//            gemm_tn(V, V) is bitwise symmetric (each (i, j) and (j, i)
+//            sum the same products in the same order).
+// gemm_tn and gram_tn run their chunks inline below 1 M multiply-adds
+// (m * p * n), and on the calling rank's lanes from there up; a
+// single-lane rank or a nested caller runs the same chunk schedule
+// inline.  Either way the bits are the same.
 
 #include "dense/matrix.hpp"
 
@@ -48,6 +55,17 @@ void gemm_nn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
 /// BCGS-PIP.  A and B stream; C is tiny and accumulates in cache.
 void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
              MatrixView c);
+
+/// G = [Q V]^T V   (Q: m x q, V: m x s, G: (q + s) x s), overwriting G.
+///
+/// The fused BCGS-PIP Gram in one sweep over the rows: each 256-row
+/// tile of Q and V is read once for every output, and in the V^T V
+/// block only the register tiles on or above the diagonal are summed;
+/// the strict lower triangle is mirrored after the chunk combine.  Q
+/// and V are separate column sources, so they need not be adjacent in
+/// memory (q = 0 is allowed).  Bitwise equal to gemm_tn(1, Q, V, 0, .)
+/// stacked over gemm_tn(1, V, V, 0, .).
+void gram_tn(ConstMatrixView q, ConstMatrixView v, MatrixView g);
 
 /// C = alpha * A * B^T + beta * C   (A: m x k, B: n x k, C: m x n)
 void gemm_nt(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,

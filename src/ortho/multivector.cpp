@@ -112,14 +112,11 @@ void fused_gram(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
   assert(g.rows == q.cols + v.cols && g.cols == v.cols);
   {
     const ScopedPhase t(ctx.timers, Phase::kOrthoDot);
-    MatrixView top = g.block(0, 0, q.cols, v.cols);
-    MatrixView bottom = g.block(q.cols, 0, v.cols, v.cols);
     // Always working precision: the mixed-precision BCGS-PIP path goes
     // through fused_gram_dd, which keeps the pair form alive for the
     // Pythagorean update and Cholesky (rounding here would reintroduce
     // the eps^{-1/2} cliff this layer exists to remove).
-    if (q.cols > 0) dense::gemm_tn(1.0, q, v, 0.0, top);
-    dense::gemm_tn(1.0, v, v, 0.0, bottom);
+    dense::gram_tn(q, v, g);
   }
   consult_gram_fault(ctx, g);
   reduce_sum(ctx, g);

@@ -124,7 +124,9 @@ void block_dot_dd(OrthoContext& ctx, ConstMatrixView a, ConstMatrixView b,
 /// G = [Q, V]^T V in a single reduce: G is (q + s) x s where q = Q.cols,
 /// s = V.cols.  Rows [0, q) hold Q^T V; rows [q, q+s) hold V^T V.
 /// This is the Pythagorean trick that gives BCGS-PIP its single
-/// synchronization (paper Fig. 4a line 1).
+/// synchronization (paper Fig. 4a line 1).  The local product is one
+/// dense::gram_tn call: one pass over Q and V, and V^T V summed as its
+/// upper triangle and mirrored (bits equal to two gemm_tn calls).
 void fused_gram(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
                 MatrixView g);
 

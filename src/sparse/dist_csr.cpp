@@ -108,17 +108,36 @@ DistCsr::DistCsr(const CsrMatrix& global, const RowPartition& partition,
 
 CsrMatrix DistCsr::local_diagonal_block() const {
   const ord n = n_local();
-  std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(nnz_local()));
+  CsrMatrix d;
+  d.rows = n;
+  d.cols = n;
+  d.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
   // Drop the ghost columns (block Jacobi across ranks); interior rows
-  // hold none, so only boundary rows lose entries.
+  // hold none, so only boundary rows lose entries.  Each row's owned
+  // columns are strictly increasing (CsrMatrix contract, monotone
+  // remap), so count -> prefix sum -> copy yields CSR order directly.
+  for_each_local_row([&](ord i, std::span<const ord> cols,
+                         std::span<const double>) {
+    d.row_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset>(
+        std::count_if(cols.begin(), cols.end(), [n](ord c) { return c < n; }));
+  });
+  for (std::size_t i = 1; i < d.row_ptr.size(); ++i) {
+    d.row_ptr[i] += d.row_ptr[i - 1];
+  }
+  d.col_idx.resize(static_cast<std::size_t>(d.nnz()));
+  d.values.resize(static_cast<std::size_t>(d.nnz()));
   for_each_local_row([&](ord i, std::span<const ord> cols,
                          std::span<const double> vals) {
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      if (cols[k] < n) t.push_back({i, cols[k], vals[k]});
+    auto k = static_cast<std::size_t>(d.row_ptr[static_cast<std::size_t>(i)]);
+    for (std::size_t e = 0; e < cols.size(); ++e) {
+      if (cols[e] >= n) continue;
+      d.col_idx[k] = cols[e];
+      // 0.0 + v stores -0.0 as +0.0, as csr_from_triplets' summation does.
+      d.values[k] = 0.0 + vals[e];
+      ++k;
     }
   });
-  return csr_from_triplets(n, n, std::move(t));
+  return d;
 }
 
 void DistCsr::spmm(par::Communicator& comm, dense::ConstMatrixView x_local,

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -191,6 +192,52 @@ TEST(Blas3, GramIsBitwiseSymmetric) {
                 << "m=" << m << " n=" << n << " lanes=" << pool->size() + 1
                 << " (" << i << ", " << j << ")";
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(Blas3, GramTnMatchesTwoGemmTnBitwise) {
+  // gram_tn's one pass and half triangle move no bit: [Q V]^T V must
+  // equal gemm_tn(Q, V) stacked over gemm_tn(V, V), with Q and V as
+  // separate allocations and as adjacent views into one basis at a row
+  // and column offset (ld > rows), into a G pre-filled with NaN, at
+  // every lane count.
+  std::vector<std::unique_ptr<par::ThreadPool>> pools;
+  for (const unsigned lanes : {1u, 2u, 7u}) {
+    pools.push_back(std::make_unique<par::ThreadPool>(lanes));
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const index_t m : {1, 7, 255, 4097, 32768, 32771}) {
+    const Matrix basis = random_matrix(m + 1, 2 + 224 + 240, 900 + m);
+    for (const index_t nq : {0, 1, 5, 56, 224}) {
+      for (const index_t s : {1, 2, 5, 7, 20, 60, 61, 240}) {
+        const index_t p = nq + s;
+        const ConstMatrixView qa = basis.view().block(1, 2, m, nq);
+        const ConstMatrixView va = basis.view().block(1, 2 + nq, m, s);
+        const Matrix q = dense::copy_of(qa);
+        const Matrix v = dense::copy_of(va);
+        Matrix expect(p, s);
+        dense::gemm_tn(1.0, q.view(), v.view(), 0.0,
+                       expect.view().block(0, 0, nq, s));
+        dense::gemm_tn(1.0, v.view(), v.view(), 0.0,
+                       expect.view().block(nq, 0, s, s));
+        // Separate allocations at every lane count; the adjacent views
+        // (a layout question, not a schedule one) on the widest pool.
+        for (std::size_t run = 0; run <= pools.size(); ++run) {
+          const bool adjacent = run == pools.size();
+          par::ThreadPool& pool = *pools[std::min(run, pools.size() - 1)];
+          par::ScopedRankPool scope(pool);
+          Matrix g(p, s);
+          std::fill(g.data().begin(), g.data().end(), nan);
+          dense::gram_tn(adjacent ? qa : q.view(), adjacent ? va : v.view(),
+                         g.view());
+          ASSERT_EQ(std::memcmp(g.data().data(), expect.data().data(),
+                                g.data().size() * sizeof(double)),
+                    0)
+              << "m=" << m << " nq=" << nq << " s=" << s
+              << " lanes=" << pool.size() + 1 << " adjacent=" << adjacent;
         }
       }
     }

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 namespace {
@@ -289,6 +291,65 @@ TEST(DistCsr, LocalDiagonalBlockMatchesGhostFilter) {
     EXPECT_TRUE(std::equal(got.values.begin(), got.values.end(),
                            expect.values.begin()));
   });
+}
+
+/// The triplet path local_diagonal_block() used to take: every owned
+/// entry as a triplet, sorted and summed by csr_from_triplets.
+sparse::CsrMatrix triplet_diagonal_block(const sparse::DistCsr& dist) {
+  const sparse::ord n = dist.n_local();
+  std::vector<sparse::Triplet> t;
+  dist.for_each_local_row([&](sparse::ord i, std::span<const sparse::ord> cols,
+                              std::span<const double> vals) {
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (cols[k] < n) t.push_back({i, cols[k], vals[k]});
+    }
+  });
+  return sparse::csr_from_triplets(n, n, std::move(t));
+}
+
+template <class V>
+bool same_bytes(const V& a, const V& b) {
+  return a.size() == b.size() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+}
+
+TEST(DistCsr, LocalDiagonalBlockMatchesTripletReference) {
+  // The count/scan/copy build must be byte-identical to the sorted
+  // triplet build: stencils whose boundary rows precede the interior
+  // ones in row order, a wide-row surrogate, an explicit -0.0 (stored
+  // as +0.0 by both), and rows whose only entries are ghost columns.
+  sparse::CsrMatrix neg_zero = sparse::laplace2d_5pt(9, 7);
+  for (std::size_t k = 0; k < neg_zero.values.size(); k += 5) {
+    neg_zero.values[k] = -0.0;
+  }
+  std::vector<sparse::Triplet> t;
+  const sparse::ord n = 10;
+  for (sparse::ord i = 1; i + 1 < n; ++i) t.push_back({i, i, 2.0});
+  t.push_back({0, n - 1, 1.0});  // rows 0 and n-1 touch only the far end
+  t.push_back({n - 1, 0, 1.0});
+  const sparse::CsrMatrix ghost_only = sparse::csr_from_triplets(n, n, t);
+  const std::vector<sparse::CsrMatrix> mats = {
+      sparse::laplace3d_27pt(9, 8, 7), sparse::laplace2d_9pt(23, 17),
+      sparse::make_surrogate("ML_Geer", 3000).matrix, neg_zero, ghost_only};
+  for (std::size_t mi = 0; mi < mats.size(); ++mi) {
+    const sparse::CsrMatrix& a = mats[mi];
+    for (const int ranks : {1, 2, 3, 7}) {
+      par::spmd_run(ranks, [&](par::Communicator& comm) {
+        const sparse::RowPartition part(a.rows, comm.size());
+        const sparse::DistCsr dist(a, part, comm.rank());
+        const auto expect = triplet_diagonal_block(dist);
+        const auto got = dist.local_diagonal_block();
+        EXPECT_EQ(got.rows, expect.rows);
+        EXPECT_EQ(got.cols, expect.cols);
+        EXPECT_TRUE(same_bytes(got.row_ptr, expect.row_ptr) &&
+                    same_bytes(got.col_idx, expect.col_idx) &&
+                    same_bytes(got.values, expect.values))
+            << "matrix " << mi << " ranks=" << ranks
+            << " rank=" << comm.rank();
+      });
+    }
+  }
 }
 
 TEST(DistCsr, SpmmAnyWidthMatchesSerialColumns) {
