@@ -27,7 +27,6 @@
 #include "par/config.hpp"
 #include "dense/svd.hpp"
 #include "ortho/manager.hpp"
-#include "ortho/measures.hpp"
 #include "synth/synthetic.hpp"
 
 #include <cmath>

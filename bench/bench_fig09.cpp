@@ -20,7 +20,6 @@
 #include "dense/svd.hpp"
 #include "krylov/matrix_powers.hpp"
 #include "ortho/manager.hpp"
-#include "ortho/measures.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/suitesparse_like.hpp"

@@ -1,6 +1,7 @@
 #include "api/registry.hpp"
 
 #include "api/options.hpp"
+#include "api/prepared.hpp"
 #include "precond/chebyshev.hpp"
 #include "precond/gauss_seidel.hpp"
 #include "precond/jacobi.hpp"
@@ -72,12 +73,23 @@ Registry<OrthoEntry> make_ortho_registry() {
   return reg;
 }
 
+/// The setup in the piece's `slot`, built from its DistCsr on first use;
+/// records on the piece whether the slot was already filled.
+template <typename Setup, typename... Args>
+std::shared_ptr<const Setup> slot_setup(std::shared_ptr<const Setup>& slot,
+                                        PreparedPiece& piece,
+                                        const Args&... args) {
+  piece.setup_reused = slot != nullptr;
+  if (!slot) slot = std::make_shared<const Setup>(piece.dist, args...);
+  return slot;
+}
+
 Registry<PrecondEntry> make_precond_registry() {
   Registry<PrecondEntry> reg("preconditioner");
   {
     PrecondEntry e;
     e.description = "unpreconditioned";
-    e.make = [](const SolverOptions&, const sparse::DistCsr&) {
+    e.make = [](const SolverOptions&, PreparedPiece&) {
       return std::unique_ptr<precond::Preconditioner>();
     };
     reg.add("none", e);
@@ -85,47 +97,44 @@ Registry<PrecondEntry> make_precond_registry() {
   {
     PrecondEntry e;
     e.description = "point Jacobi (diagonal scaling)";
-    e.make = [](const SolverOptions&, const sparse::DistCsr& a) {
+    e.make = [](const SolverOptions&, PreparedPiece& p) {
       return std::unique_ptr<precond::Preconditioner>(
-          std::make_unique<precond::Jacobi>(a));
+          std::make_unique<precond::Jacobi>(p.dist));
     };
     reg.add("jacobi", e);
   }
-  {
+  const auto multicolor = [&reg](const std::string& name,
+                                 std::string description, bool symmetric) {
     PrecondEntry e;
-    e.description = "local multicolor Gauss-Seidel (paper Fig. 13)";
-    e.make = [](const SolverOptions& opts, const sparse::DistCsr& a) {
+    e.description = std::move(description);
+    e.make = [symmetric](const SolverOptions& opts, PreparedPiece& p) {
       return std::unique_ptr<precond::Preconditioner>(
           std::make_unique<precond::MulticolorGaussSeidel>(
-              a, opts.precond_sweeps, /*symmetric=*/false));
+              slot_setup(p.multicolor, p), opts.precond_sweeps, symmetric));
     };
-    reg.add("mc-gs", e);
-  }
-  {
-    PrecondEntry e;
-    e.description = "local symmetric multicolor Gauss-Seidel";
-    e.make = [](const SolverOptions& opts, const sparse::DistCsr& a) {
-      return std::unique_ptr<precond::Preconditioner>(
-          std::make_unique<precond::MulticolorGaussSeidel>(
-              a, opts.precond_sweeps, /*symmetric=*/true));
-    };
-    reg.add("mc-sgs", e);
-  }
+    reg.add(name, e);
+  };
+  multicolor("mc-gs", "local multicolor Gauss-Seidel (paper Fig. 13)", false);
+  multicolor("mc-sgs", "local symmetric multicolor Gauss-Seidel", true);
   {
     PrecondEntry e;
     e.description =
         "local Chebyshev polynomial (precond_degree; explicit interval via "
         "precond_lambda_min/max, else power-method estimate)";
-    e.make = [](const SolverOptions& opts, const sparse::DistCsr& a) {
-      if (chebyshev_explicit_interval(opts)) {
+    e.make = [](const SolverOptions& opts, PreparedPiece& p) {
+      // An explicit interval is cheap to rebuild; only the power-method
+      // estimate is cached.
+      if (opts.precond_lambda_max > opts.precond_lambda_min &&
+          opts.precond_lambda_max > 0.0) {
         return std::unique_ptr<precond::Preconditioner>(
             std::make_unique<precond::ChebyshevPolynomial>(
-                a, opts.precond_degree, opts.precond_lambda_min,
+                p.dist, opts.precond_degree, opts.precond_lambda_min,
                 opts.precond_lambda_max));
       }
       return std::unique_ptr<precond::Preconditioner>(
           std::make_unique<precond::ChebyshevPolynomial>(
-              a, opts.precond_degree));
+              slot_setup(p.chebyshev, p, precond::kChebyshevPowerIters),
+              opts.precond_degree));
     };
     reg.add("chebyshev", e);
   }
@@ -244,11 +253,6 @@ Registry<MatrixEntry> make_matrix_registry() {
 }
 
 }  // namespace
-
-bool chebyshev_explicit_interval(const SolverOptions& opts) {
-  return opts.precond_lambda_max > opts.precond_lambda_min &&
-         opts.precond_lambda_max > 0.0;
-}
 
 Registry<OrthoEntry>& ortho_registry() {
   static Registry<OrthoEntry> reg = make_ortho_registry();

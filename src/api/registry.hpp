@@ -18,7 +18,6 @@
 #include "krylov/sstep_gmres.hpp"
 #include "precond/preconditioner.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/dist_csr.hpp"
 #include "util/cli.hpp"
 
 #include <functional>
@@ -31,6 +30,7 @@
 namespace tsbo::api {
 
 struct SolverOptions;
+struct PreparedPiece;
 
 /// Ordered name -> Entry map with loud, suggestion-bearing lookup
 /// failures.  Registration order is preserved (names() drives "run all
@@ -100,18 +100,15 @@ struct OrthoEntry {
 };
 
 /// Preconditioner factory: builds the rank-local preconditioner for one
-/// rank's matrix block.  May return nullptr ("none").
+/// rank's prepared piece.  Entries whose setup depends only on the
+/// matrix take it from the piece's slot, building it on first use, and
+/// set the piece's `setup_reused`.  May return nullptr ("none").
 struct PrecondEntry {
   std::string description;
-  std::function<std::unique_ptr<precond::Preconditioner>(
-      const SolverOptions&, const sparse::DistCsr&)>
+  std::function<std::unique_ptr<precond::Preconditioner>(const SolverOptions&,
+                                                         PreparedPiece&)>
       make;
 };
-
-/// Whether the options give the chebyshev preconditioner an explicit
-/// eigenvalue interval (precond_lambda_min/max).  Otherwise its setup
-/// estimates one with precond::kChebyshevPowerIters power-method steps.
-[[nodiscard]] bool chebyshev_explicit_interval(const SolverOptions& opts);
 
 /// Matrix source: builds the (replicated) system matrix from the
 /// options' geometry/size keys.

@@ -3,14 +3,12 @@
 #include "krylov/sstep_gmres.hpp"
 #include "par/config.hpp"
 #include "par/spmd.hpp"
-#include "sparse/partition.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/spmv.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -66,6 +64,7 @@ sparse::CsrMatrix make_matrix(const SolverOptions& opts, std::string* label) {
 Solver& Solver::set_matrix_ref(const sparse::CsrMatrix& a, std::string label) {
   matrix_ = &a;
   matrix_label_ = std::move(label);
+  own_prepared_.reset();
   return *this;
 }
 
@@ -80,20 +79,8 @@ Solver& Solver::set_rhs_ref(const std::vector<double>& b) {
   return *this;
 }
 
-Solver& Solver::set_partitioned_operator(
-    const std::vector<sparse::DistCsr>* pieces) {
-  partitioned_ = pieces;
-  return *this;
-}
-
-Solver& Solver::set_precond_factory(PrecondFactory factory) {
-  precond_factory_ = std::move(factory);
-  return *this;
-}
-
-Solver& Solver::set_local_workspace(
-    std::vector<util::aligned_vector<double>>* ws) {
-  workspace_ = ws;
+Solver& Solver::set_prepared(PreparedOperator* prepared) {
+  prepared_ = prepared;
   return *this;
 }
 
@@ -151,20 +138,18 @@ SolveReport Solver::solve() {
         " != matrix rows * rhs = " + std::to_string(n) + " * " +
         std::to_string(nrhs));
   }
-  if (partitioned_ != nullptr &&
-      partitioned_->size() != static_cast<std::size_t>(opts_.ranks)) {
+  if (prepared_ != nullptr && prepared_->ranks() != opts_.ranks) {
     throw std::invalid_argument(
-        "api::Solver: partitioned operator has " +
-        std::to_string(partitioned_->size()) + " pieces for ranks=" +
+        "api::Solver: prepared operator has " +
+        std::to_string(prepared_->ranks()) + " pieces for ranks=" +
         std::to_string(opts_.ranks));
   }
-  if (workspace_ != nullptr &&
-      workspace_->size() != static_cast<std::size_t>(opts_.ranks)) {
-    throw std::invalid_argument("api::Solver: local workspace has " +
-                                std::to_string(workspace_->size()) +
-                                " lanes for ranks=" +
-                                std::to_string(opts_.ranks));
+  if (prepared_ == nullptr &&
+      (!own_prepared_ || own_prepared_->ranks() != opts_.ranks)) {
+    own_prepared_.emplace(a, opts_.ranks);
   }
+  PreparedOperator& prepared =
+      prepared_ != nullptr ? *prepared_ : *own_prepared_;
 
   SolveReport report;
   report.options = opts_;
@@ -213,9 +198,9 @@ SolveReport Solver::solve() {
   }
 
   krylov::SolveResult out;
-  util::PhaseTimers merged;
+  std::vector<util::PhaseTimers> rank_timers(
+      static_cast<std::size_t>(opts_.ranks));
   std::vector<RestartRecord> history;
-  std::mutex merge_mutex;
 
   // The observer runs on rank 0 only, so `history` needs no locking.
   const krylov::ProgressCallback observer =
@@ -240,32 +225,15 @@ SolveReport Solver::solve() {
     // the ortho Gram, the collectives themselves) consults through
     // this rank's communicator.
     comm.set_fault_injector(injector);
-    // Operator piece: borrowed from the caller (the operator cache's
-    // prebuilt partition + comm plan) or built fresh for this solve.
-    std::optional<sparse::DistCsr> built;
-    if (partitioned_ == nullptr) {
-      built.emplace(a, sparse::RowPartition(a.rows, comm.size()), comm.rank());
-    }
-    const sparse::DistCsr& dist =
-        partitioned_ != nullptr
-            ? (*partitioned_)[static_cast<std::size_t>(comm.rank())]
-            : *built;
+    PreparedPiece& piece = prepared[comm.rank()];
+    const sparse::DistCsr& dist = piece.dist;
     const auto begin = static_cast<std::size_t>(dist.row_begin());
     const auto nloc = static_cast<std::size_t>(dist.n_local());
 
-    // Rank-local solution storage: caller-borrowed aligned scratch when
-    // set (fully overwritten below, so reuse never changes bits), else
-    // a fresh per-solve vector.
-    std::vector<double> x_own;
-    std::span<double> x;
-    if (workspace_ != nullptr) {
-      auto& w = (*workspace_)[static_cast<std::size_t>(comm.rank())];
-      w.assign(nloc * nrhs, 0.0);
-      x = std::span<double>(w.data(), nloc * nrhs);
-    } else {
-      x_own.assign(nloc * nrhs, 0.0);
-      x = std::span<double>(x_own);
-    }
+    // Rank-local solution block in the piece's scratch (fully
+    // overwritten here, so reuse never changes bits).
+    piece.x.assign(nloc * nrhs, 0.0);
+    const std::span<double> x(piece.x.data(), nloc * nrhs);
     if (!x0_.empty()) {
       for (std::size_t t = 0; t < nrhs; ++t) {
         std::copy_n(x0_.begin() + static_cast<std::ptrdiff_t>(t * n + begin),
@@ -274,9 +242,9 @@ SolveReport Solver::solve() {
     }
     const std::span<const double> b_local(b.data() + begin, nloc);
 
+    piece.setup_reused = false;
     const std::unique_ptr<precond::Preconditioner> prec =
-        precond_factory_ ? precond_factory_(opts_, dist, comm.rank())
-                         : prec_entry.make(opts_, dist);
+        prec_entry.make(opts_, piece);
 
     krylov::SolveResult res;
     if (opts_.is_sstep()) {
@@ -302,8 +270,7 @@ SolveReport Solver::solve() {
       res = krylov::gmres(comm, dist, prec.get(), b_local, x, cfg);
     }
 
-    std::lock_guard lock(merge_mutex);
-    merged.merge_max(res.timers);
+    rank_timers[static_cast<std::size_t>(comm.rank())] = res.timers;
     for (std::size_t t = 0; t < nrhs; ++t) {
       std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(t * nloc), nloc,
                   x_.begin() + static_cast<std::ptrdiff_t>(t * n + begin));
@@ -311,8 +278,14 @@ SolveReport Solver::solve() {
     if (comm.rank() == 0) out = res;
   });
 
-  // Critical-path convention: per-phase max across ranks.
-  out.timers = merged;
+  // Critical-path convention: the timers of the rank with the largest
+  // total (the lowest such rank on a tie), so the leaves add up as they
+  // do on that rank.
+  out.timers = *std::max_element(
+      rank_timers.begin(), rank_timers.end(),
+      [](const util::PhaseTimers& l, const util::PhaseTimers& r) {
+        return l.seconds(util::Phase::kTotal) < r.seconds(util::Phase::kTotal);
+      });
   report.result = out;
   report.history = std::move(history);
 

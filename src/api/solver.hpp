@@ -13,18 +13,20 @@
 //
 // The facade owns the boilerplate the bench binaries used to repeat:
 // matrix construction through matrix_registry() (plus optional paper
-// max-scaling), the all-ones-solution RHS, row partitioning, per-rank
-// preconditioner construction through precond_registry(), critical-path
-// timer merging, and gathering the distributed solution.
+// max-scaling), the all-ones-solution RHS, the prepared operator
+// (row partitioning, per-rank DistCsr pieces, preconditioner setups;
+// api/prepared.hpp), per-rank preconditioner construction through
+// precond_registry(), the critical rank's timers, and gathering the
+// distributed solution.  Setup is built once and kept across solves,
+// so a repeated solve() pays only for the Krylov iteration.
 
 #include "api/options.hpp"
+#include "api/prepared.hpp"
 #include "api/registry.hpp"
 #include "api/report.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/dist_csr.hpp"
-#include "util/aligned.hpp"
 
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,7 +64,9 @@ class Solver {
 
   /// Injects the system matrix instead of building it from the matrix
   /// keys.  Borrowed: the caller keeps `a` alive across solve() (the
-  /// bench sweeps use this to share one matrix over many runs).
+  /// bench sweeps use this to share one matrix over many runs).  Drops
+  /// the solver's own prepared operator; call it again after changing
+  /// `a` in place.
   Solver& set_matrix_ref(const sparse::CsrMatrix& a,
                          std::string label = "injected");
 
@@ -75,31 +79,12 @@ class Solver {
   /// solve(); the solver service shares one cached RHS over many jobs).
   Solver& set_rhs_ref(const std::vector<double>& b);
 
-  /// Injects prebuilt per-rank operator pieces (element r is rank r's
-  /// DistCsr; size must equal opts.ranks) so solve() skips row
-  /// partitioning and DistCsr construction — the expensive comm-plan /
-  /// interior-boundary-split setup the operator cache amortizes.  The
-  /// pieces must describe the same matrix passed to set_matrix_ref().
-  /// Borrowed, like set_matrix_ref.  NOTE: DistCsr's halo buffer makes
-  /// spmv non-reentrant per piece, so two solve() calls sharing one
-  /// vector must not run concurrently (the service serializes per cache
-  /// entry).
-  Solver& set_partitioned_operator(const std::vector<sparse::DistCsr>* pieces);
-
-  /// Per-rank preconditioner factory override: when set, solve() calls
-  /// this instead of precond_registry().at(opts.precond).make(), letting
-  /// a caller reuse precomputed precond::*Setup state (coloring,
-  /// eigenvalue estimates) across solves.  May return nullptr ("none").
-  using PrecondFactory = std::function<std::unique_ptr<precond::Preconditioner>(
-      const SolverOptions&, const sparse::DistCsr&, int rank)>;
-  Solver& set_precond_factory(PrecondFactory factory);
-
-  /// Borrows per-rank aligned scratch (element r backs rank r's local
-  /// solution vector; resized as needed, fully overwritten each solve,
-  /// so reuse never changes bits).  The operator cache hands one
-  /// workspace per cached operator so repeat solves skip the per-rank
-  /// allocations.  Size must equal opts.ranks.
-  Solver& set_local_workspace(std::vector<util::aligned_vector<double>>* ws);
+  /// Borrows the prepared operator (per-rank pieces, preconditioner
+  /// setups, solution scratch) solve() runs against; it must describe
+  /// the matrix solve() uses and have opts.ranks pieces.  The caller
+  /// keeps it alive and runs no two solves on it at once (the service
+  /// serializes per cache entry).  nullptr returns to the solver's own.
+  Solver& set_prepared(PreparedOperator* prepared);
 
   /// Initial guess (default: zero).  Global length (rows * rhs for
   /// batched solves, column-major like the RHS).  When set,
@@ -136,7 +121,11 @@ class Solver {
   /// Runs the configured solver under the SPMD runtime and returns the
   /// report.  Throws std::invalid_argument on bad options and
   /// propagates solver exceptions (e.g. ortho::CholeskyBreakdown under
-  /// breakdown=throw).  Repeatable: each call is a fresh run.
+  /// breakdown=throw).  Repeatable: each call is bitwise a cold run;
+  /// setup is kept while the matrix and ranks hold.  Without a borrowed
+  /// prepared operator, the first solve builds the solver's own and
+  /// later solves reuse it until set_matrix_ref() or a change of
+  /// opts.ranks.
   SolveReport solve();
 
   /// Gathered global solution of the last solve() (rows * rhs doubles
@@ -152,9 +141,8 @@ class Solver {
   const std::vector<double>* b_ref_ = nullptr;  // borrowed RHS, wins over b_
   std::vector<double> x0_;
   std::vector<double> x_;
-  const std::vector<sparse::DistCsr>* partitioned_ = nullptr;  // borrowed
-  PrecondFactory precond_factory_;
-  std::vector<util::aligned_vector<double>>* workspace_ = nullptr;  // borrowed
+  std::optional<PreparedOperator> own_prepared_;
+  PreparedOperator* prepared_ = nullptr;  // borrowed, wins over own_
   krylov::ProgressCallback user_callback_;
   par::FaultInjector* fault_injector_ = nullptr;      // borrowed
   const par::CancelToken* cancel_token_ = nullptr;    // borrowed

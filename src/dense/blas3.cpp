@@ -97,20 +97,6 @@ void scale_columns(double beta, MatrixView c) {
       });
 }
 
-/// Calls f.template operator()<I, J>() for the runtime tile shape
-/// 1 <= i <= MaxI, 1 <= j <= MaxJ, so tails run the same compile-time
-/// microkernels as full tiles (a runtime width would spill them).
-template <int MaxI, int MaxJ, typename F>
-inline void with_tile(index_t i, index_t j, const F& f) {
-  if constexpr (MaxI > 1) {
-    if (i < MaxI) return with_tile<MaxI - 1, MaxJ>(i, j, f);
-  }
-  if constexpr (MaxJ > 1) {
-    if (j < MaxJ) return with_tile<MaxI, MaxJ - 1>(i, j, f);
-  }
-  f.template operator()<MaxI, MaxJ>();
-}
-
 inline std::size_t offset(index_t i, index_t ld) {
   return static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
 }
@@ -321,13 +307,15 @@ void gemm_nn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
               for (index_t v0 = 0; v0 < nvec; v0 += kNnR) {
                 const index_t nv = std::min<index_t>(kNnR, nvec - v0);
                 for (index_t j0 = 0; j0 < njt; j0 += kNnJ) {
-                  with_tile<kNnR, kNnJ>(
-                      nv, std::min<index_t>(kNnJ, njt - j0),
-                      [&]<int RV, int J>() {
-                        update_tile<RV, J>(al0 + v0 * kW, a.ld, nl, coef + j0,
-                                           c.col(jt + j0) + i0 + v0 * kW,
-                                           c.ld);
-                      });
+                  util::with_width<kNnR>(nv, [&]<int RV>() {
+                    util::with_width<kNnJ>(
+                        std::min<index_t>(kNnJ, njt - j0), [&]<int J>() {
+                          update_tile<RV, J>(al0 + v0 * kW, a.ld, nl,
+                                             coef + j0,
+                                             c.col(jt + j0) + i0 + v0 * kW,
+                                             c.ld);
+                        });
+                  });
                 }
               }
               // Rows past the last whole vector: the same chains, scalar.
@@ -395,9 +383,11 @@ void tn_product(double alpha, ConstMatrixView a0, ConstMatrixView a1,
             for (index_t j0 = jt; j0 < jhi; j0 += kTnJ) {
               const index_t nj = std::min<index_t>(kTnJ, jhi - j0);
               if (tri && i0 >= j0 + nj) continue;  // wholly below diagonal
-              with_tile<kTnI, kTnJ>(ni, nj, [&]<int I, int J>() {
-                dot_tile<I, J>(a.col(i0) + r0, a.ld, b.col(j0) + r0, b.ld,
-                               nb, part + offset(j0, p) + base + i0, p);
+              util::with_width<kTnI>(ni, [&]<int I>() {
+                util::with_width<kTnJ>(nj, [&]<int J>() {
+                  dot_tile<I, J>(a.col(i0) + r0, a.ld, b.col(j0) + r0, b.ld,
+                                 nb, part + offset(j0, p) + base + i0, p);
+                });
               });
             }
           }
@@ -520,10 +510,11 @@ void trsm_right_upper(ConstMatrixView u, MatrixView b) {
             const index_t nv = std::min<index_t>(kTrR, nvec - v0);
             double* strip = b.data + i0 + v0 * kW;
             for (index_t j0 = 0; j0 < s; j0 += kTrJ) {
-              with_tile<kTrR, kTrJ>(
-                  nv, std::min<index_t>(kTrJ, s - j0), [&]<int RV, int J>() {
-                    trsm_tile<RV, J>(u, strip, b.ld, j0);
-                  });
+              util::with_width<kTrR>(nv, [&]<int RV>() {
+                util::with_width<kTrJ>(
+                    std::min<index_t>(kTrJ, s - j0),
+                    [&]<int J>() { trsm_tile<RV, J>(u, strip, b.ld, j0); });
+              });
             }
           }
           // Rows past the last whole vector: the same chains, scalar.

@@ -1,6 +1,7 @@
 #include "precond/chebyshev.hpp"
 
 #include "par/config.hpp"
+#include "util/simd.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -32,15 +33,6 @@ void scaled_spmv_rows(const sparse::CsrMatrix& a, const double* inv_diag,
     }
     for (std::size_t t = 0; t < W; ++t) z[i * W + t] = acc[t] * inv_diag[i];
   }
-}
-
-/// f.operator()<W>() for the compile-time W == w, 1 <= w <= Max.
-template <std::size_t Max, typename F>
-void with_width(std::size_t w, const F& f) {
-  if constexpr (Max > 1) {
-    if (w < Max) return with_width<Max - 1>(w, f);
-  }
-  f.template operator()<Max>();
 }
 
 /// Stores entry(i, t), the new y of column t at row i, for rows
@@ -147,7 +139,7 @@ void ChebyshevPolynomial::apply_multi([[maybe_unused]] std::size_t n,
                                       std::size_t ldy) const {
   assert(n == setup_->inv_diag.size());
   for (std::size_t t0 = 0; t0 < ncols; t0 += kMaxWidth) {
-    with_width<kMaxWidth>(
+    util::with_width<kMaxWidth>(
         std::min(kMaxWidth, ncols - t0), [&]<std::size_t W>() {
           apply_chunk<W>(x + t0 * ldx, ldx, y + t0 * ldy, ldy);
         });

@@ -1,7 +1,6 @@
 #include "service/operator_cache.hpp"
 
 #include "api/solver.hpp"
-#include "sparse/partition.hpp"
 #include "util/timer.hpp"
 
 #include <utility>
@@ -42,16 +41,8 @@ std::uint64_t rhs_fingerprint(const std::vector<double>& b) {
 }
 
 std::size_t CachedOperator::bytes() const {
-  std::size_t b = matrix.storage_bytes();
-  for (const sparse::DistCsr& piece : pieces) b += piece.footprint_bytes();
+  std::size_t b = matrix.storage_bytes() + prepared.bytes();
   b += ones_b.capacity() * sizeof(double);
-  for (const auto& w : workspace) b += w.capacity() * sizeof(double);
-  for (const auto& s : mc_setups) {
-    if (s) b += s->bytes();
-  }
-  for (const auto& s : cheb_setups) {
-    if (s) b += s->bytes();
-  }
   for (const SolutionSeed& seed : seeds) {
     b += seed.x.capacity() * sizeof(double);
   }
@@ -62,20 +53,13 @@ std::shared_ptr<CachedOperator> build_operator(const api::SolverOptions& opts) {
   auto op = std::make_shared<CachedOperator>();
   util::WallTimer timer;
   op->key = operator_cache_key(opts);
-  // Same construction path as a standalone api::Solver::solve(): the
-  // registry build (+ equilibration), the 1-D block row partition, one
-  // DistCsr per rank, and the all-ones RHS — so solves against the
-  // cached pieces are bitwise-identical to cold solves.
+  // Same construction path as a standalone api::Solver: the registry
+  // build (+ equilibration), the prepared operator and the all-ones
+  // RHS — so solves against the cached entry are bitwise-identical to
+  // cold solves.
   op->matrix = api::make_matrix(opts, &op->label);
-  const sparse::RowPartition part(op->matrix.rows, opts.ranks);
-  op->pieces.reserve(static_cast<std::size_t>(opts.ranks));
-  for (int r = 0; r < opts.ranks; ++r) {
-    op->pieces.emplace_back(op->matrix, part, r);
-  }
+  op->prepared = api::PreparedOperator(op->matrix, opts.ranks);
   op->ones_b = api::ones_rhs(op->matrix);
-  op->workspace.resize(static_cast<std::size_t>(opts.ranks));
-  op->mc_setups.resize(static_cast<std::size_t>(opts.ranks));
-  op->cheb_setups.resize(static_cast<std::size_t>(opts.ranks));
   op->build_seconds = timer.seconds();
   op->matrix_checksum = op->matrix.checksum();
   return op;

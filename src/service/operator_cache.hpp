@@ -6,27 +6,24 @@
 // to whole solves once a long-lived process serves repeat requests
 // against the same operator.  This cache holds everything a solve
 // needs that depends only on (matrix source, size, partition): the
-// assembled CSR matrix, every rank's interior/boundary-partitioned
-// DistCsr with its comm plan, the all-ones RHS, per-rank aligned
-// solution scratch, lazily built preconditioner setups (MC-GS
-// coloring, Chebyshev eigenvalue estimate), and the previous solution
-// for warm starts.  Entries are LRU-evicted under a configurable byte
-// budget; hits/misses/evictions are counted for the service report.
+// assembled CSR matrix, its api::PreparedOperator (the same per-rank
+// pieces, lazily filled preconditioner setup slots and solution
+// scratch a standalone api::Solver builds for itself), the all-ones
+// RHS, and the previous solutions for warm starts.  Entries are
+// LRU-evicted under a configurable byte budget; hits/misses/evictions
+// are counted for the service report.
 //
 // Thread safety: the cache map itself is mutex-guarded.  Entries are
 // handed out as shared_ptr, so an evicted entry stays alive until the
-// job using it finishes.  A CachedOperator's DistCsr pieces share a
-// mutable halo buffer per piece, so at most one solve may run against
-// an entry at a time — callers hold `in_use` for the solve (the
-// service serializes same-operator jobs this way; different operators
-// run concurrently).
+// job using it finishes.  A prepared operator's pieces each own a
+// mutable halo buffer, so at most one solve may run against an entry
+// at a time — callers hold `in_use` for the solve (the service
+// serializes same-operator jobs this way; different operators run
+// concurrently).
 
 #include "api/options.hpp"
-#include "precond/chebyshev.hpp"
-#include "precond/gauss_seidel.hpp"
+#include "api/prepared.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/dist_csr.hpp"
-#include "util/aligned.hpp"
 
 #include <cstdint>
 #include <list>
@@ -62,17 +59,11 @@ struct CachedOperator {
   std::string key;
   std::string label;          ///< matrix provenance (report label)
   sparse::CsrMatrix matrix;   ///< assembled (and equilibrated) CSR
-  std::vector<sparse::DistCsr> pieces;  ///< element r = rank r's piece
-  std::vector<double> ones_b;           ///< b = A * ones (default RHS)
-  /// Per-rank aligned solution scratch (api::Solver::set_local_workspace).
-  std::vector<util::aligned_vector<double>> workspace;
-
-  // Lazily built preconditioner setups, one per rank; empty slots until
-  // the first solve that needs them.  Each solve's rank r touches only
-  // slot r, and solves on one entry are serialized by `in_use`, so the
-  // slots need no extra locking.
-  std::vector<std::shared_ptr<const precond::MulticolorSetup>> mc_setups;
-  std::vector<std::shared_ptr<const precond::ChebyshevSetup>> cheb_setups;
+  /// Per-rank pieces, setup slots and scratch (api::Solver::set_prepared).
+  /// Each solve's rank r touches only piece r, and solves on one entry
+  /// are serialized by `in_use`, so the slots need no extra locking.
+  api::PreparedOperator prepared;
+  std::vector<double> ones_b;  ///< b = A * ones (default RHS)
 
   /// Warm-start seeds: gathered solutions of recent solves against
   /// this operator, keyed by the RHS fingerprint they solved (exact
@@ -152,9 +143,9 @@ class OperatorCache {
   Stats stats_;
 };
 
-/// Builds a CachedOperator for `opts` (matrix assembly, per-rank
-/// DistCsr partition, ones-RHS, workspace).  Exposed for tests that
-/// need to size byte budgets.
+/// Builds a CachedOperator for `opts` (matrix assembly, its prepared
+/// operator, ones-RHS).  Exposed for tests that need to size byte
+/// budgets.
 std::shared_ptr<CachedOperator> build_operator(const api::SolverOptions& opts);
 
 }  // namespace tsbo::service

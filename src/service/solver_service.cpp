@@ -293,7 +293,7 @@ JobOutcome SolverService::run_attempt(Job& job, par::FaultInjector* injector,
   bool hit = false;
   const std::shared_ptr<CachedOperator> op = cache_.acquire(job.opts, &hit);
 
-  // One solve at a time per entry: the DistCsr pieces' halo buffers
+  // One solve at a time per entry: the prepared pieces' halo buffers
   // are single-solve, and the warm-start seeds must not be torn.
   std::lock_guard entry_lock(op->in_use);
 
@@ -312,24 +312,9 @@ JobOutcome SolverService::run_attempt(Job& job, par::FaultInjector* injector,
   }
 
   const api::SolverOptions& opts = job.opts;
-  const bool use_mc =
-      opts.precond == "mc-gs" || opts.precond == "mc-sgs";
-  // The cache holds only the power-method estimate's Chebyshev setup;
-  // an explicit interval is cheap to rebuild.
-  const bool use_cheb =
-      opts.precond == "chebyshev" && !api::chebyshev_explicit_interval(opts);
-  const auto populated = [](const auto& setups) {
-    return !setups.empty() &&
-           std::all_of(setups.begin(), setups.end(),
-                       [](const auto& s) { return s != nullptr; });
-  };
-  const bool setups_ready = (use_mc && populated(op->mc_setups)) ||
-                            (use_cheb && populated(op->cheb_setups));
-
   api::Solver solver(opts);
   solver.set_matrix_ref(op->matrix, op->label);
-  solver.set_partitioned_operator(&op->pieces);
-  solver.set_local_workspace(&op->workspace);
+  solver.set_prepared(&op->prepared);
   // Batched (rhs=k) jobs without an explicit RHS solve the standard
   // batch block (column 0 == the cached ones-RHS); built per attempt,
   // since the operator cache key excludes solver settings like rhs.
@@ -342,30 +327,6 @@ JobOutcome SolverService::run_attempt(Job& job, par::FaultInjector* injector,
   solver.set_rhs_ref(rhs_vec);
   solver.set_fault_injector(injector);
   solver.set_cancel_token(job.token.get());
-  if (use_mc) {
-    solver.set_precond_factory(
-        [op](const api::SolverOptions& o, const sparse::DistCsr& a,
-             int rank) -> std::unique_ptr<precond::Preconditioner> {
-          auto& slot = op->mc_setups[static_cast<std::size_t>(rank)];
-          if (!slot) {
-            slot = std::make_shared<const precond::MulticolorSetup>(a);
-          }
-          return std::make_unique<precond::MulticolorGaussSeidel>(
-              slot, o.precond_sweeps, /*symmetric=*/o.precond == "mc-sgs");
-        });
-  } else if (use_cheb) {
-    solver.set_precond_factory(
-        [op](const api::SolverOptions& o, const sparse::DistCsr& a,
-             int rank) -> std::unique_ptr<precond::Preconditioner> {
-          auto& slot = op->cheb_setups[static_cast<std::size_t>(rank)];
-          if (!slot) {
-            slot = std::make_shared<const precond::ChebyshevSetup>(
-                a, precond::kChebyshevPowerIters);
-          }
-          return std::make_unique<precond::ChebyshevPolynomial>(
-              slot, o.precond_degree);
-        });
-  }
 
   // Warm start: per-RHS-column fingerprints.  Column t seeds from the
   // seed whose fingerprint matches that column's RHS bits exactly, so
@@ -411,7 +372,7 @@ JobOutcome SolverService::run_attempt(Job& job, par::FaultInjector* injector,
   report.service.warm_started = warm;
   report.service.queue_seconds = queue_seconds;
   report.service.setup_seconds = hit ? 0.0 : op->build_seconds;
-  report.service.reused_precond_setup = setups_ready;
+  report.service.reused_precond_setup = op->prepared.setups_reused();
   report.service.reused_rhs = hit && !job.has_rhs && nrhs == 1;
   report.service.cache_key = op->key;
 

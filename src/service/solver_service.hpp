@@ -17,11 +17,10 @@
 // contract — a job's results are bitwise-identical to the same solve
 // run standalone, at any thread or rank count.
 //
-// Expensive per-operator setup (matrix assembly, partitioned DistCsr
-// with comm plan, preconditioner coloring / eigenvalue estimates, the
-// ones-RHS, aligned scratch) is reused across jobs through the keyed
-// OperatorCache.  Jobs against the same operator serialize on the
-// entry (the DistCsr halo buffer is single-solve); jobs against
+// Expensive per-operator setup (matrix assembly, its
+// api::PreparedOperator, the ones-RHS) is reused across jobs through
+// the keyed OperatorCache.  Jobs against the same operator serialize on
+// the entry (the DistCsr halo buffer is single-solve); jobs against
 // different operators run concurrently.  With warm_start=1 a repeat
 // solve seeds x0 from a cached solution keyed by the RHS fingerprint
 // (most-recent fallback for perturbed right-hand sides); warm_start=0

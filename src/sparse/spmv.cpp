@@ -76,15 +76,6 @@ inline void spmv_range_scaled(double alpha, const CsrMatrix& a, ord begin,
 // Widest compile-time column chunk of spmm_rows_mapped.
 constexpr ord kSpmmMaxCols = 8;
 
-/// f.operator()<W>() for the compile-time W == w, 1 <= w <= Max.
-template <ord Max, typename F>
-inline void with_cols(ord w, const F& f) {
-  if constexpr (Max > 1) {
-    if (w < Max) return with_cols<Max - 1>(w, f);
-  }
-  f.template operator()<Max>();
-}
-
 /// Rows [begin, end) of a W-column chunk: row i of `a` times columns
 /// [0, W) of the k-interleaved operand x (entry (j, t) at x[j*k + t]),
 /// scattered to y[t*ldy + rows[i]].  Each column accumulates in plain
@@ -169,7 +160,7 @@ void spmm_rows_mapped(const CsrMatrix& a, std::span<const ord> rows,
   par::parallel_for_grained(rows.size(), [&](std::size_t b, std::size_t e) {
     for (ord t0 = 0; t0 < k; t0 += kSpmmMaxCols) {
       const ord w = std::min<ord>(kSpmmMaxCols, k - t0);
-      with_cols<kSpmmMaxCols>(w, [&]<ord W>() {
+      util::with_width<kSpmmMaxCols>(w, [&]<ord W>() {
         spmm_chunk<W>(rp, col, val, rows.data(), b, e, xk + t0, k,
                       y + static_cast<std::size_t>(t0) * ldy, ldy);
       });

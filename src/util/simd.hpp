@@ -321,3 +321,19 @@ inline eft::dd reduce(const VecDD& x) {
 }
 
 }  // namespace tsbo::simd
+
+namespace tsbo::util {
+
+/// Calls f.template operator()<W>() for the compile-time W == w,
+/// 1 <= w <= Max, so a runtime width (a tile or column-chunk tail) runs
+/// the same compile-time kernel as a full one; a runtime width would
+/// spill its accumulators.  Nest two calls for a two-dimensional tile.
+template <auto Max, typename F>
+inline void with_width(decltype(Max) w, const F& f) {
+  if constexpr (Max > 1) {
+    if (w < Max) return with_width<Max - 1>(w, f);
+  }
+  f.template operator()<Max>();
+}
+
+}  // namespace tsbo::util

@@ -1,6 +1,5 @@
 #include "util/timer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -49,13 +48,6 @@ OrthoBreakdown PhaseTimers::ortho() const {
   return {seconds(PaperPhase::kOrthoDot), seconds(PaperPhase::kOrthoReduce),
           seconds(PaperPhase::kOrthoUpdate), seconds(PaperPhase::kOrthoFactor),
           seconds(PaperPhase::kOrthoSmall)};
-}
-
-void PhaseTimers::merge_max(const PhaseTimers& other) {
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    slots_[i].seconds = std::max(slots_[i].seconds, other.slots_[i].seconds);
-    slots_[i].count = std::max(slots_[i].count, other.slots_[i].count);
-  }
 }
 
 void spin_wait(double seconds) {

@@ -133,11 +133,6 @@ class PhaseTimers {
   /// The five ortho paper phases; ortho().total() is the ortho time.
   [[nodiscard]] OrthoBreakdown ortho() const;
 
-  /// Element-wise merge of another timer set, taking the *maximum*
-  /// per-phase time and count (the MPI convention for reporting the
-  /// critical path across ranks).
-  void merge_max(const PhaseTimers& other);
-
  private:
   struct Slot {
     double seconds = 0.0;

@@ -1,8 +1,8 @@
 // The api facade layer: SolverOptions parse/serialize round-trips and
 // rejection behaviour, registry coverage for every scheme /
 // preconditioner / matrix-source name, the SolveReport JSON schema, the
-// per-restart observer, Cli typo rejection, and facade-vs-direct-krylov
-// equivalence.
+// per-restart observer, Cli typo rejection, facade-vs-direct-krylov
+// equivalence, and repeated solves on one prepared operator.
 
 #include "api/solver.hpp"
 #include "krylov/sstep_gmres.hpp"
@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -228,12 +229,11 @@ TEST(Registries, UnknownNameErrorsCarrySuggestions) {
 
 TEST(Registries, PrecondBuildsEveryEntry) {
   const sparse::CsrMatrix a = sparse::laplace2d_5pt(8, 8);
-  const sparse::RowPartition part(a.rows, 1);
-  const sparse::DistCsr dist(a, part, 0);
+  api::PreparedOperator prepared(a, 1);
   const api::SolverOptions opts = api::SolverOptions::parse("");
   for (const std::string& name : api::precond_registry().names()) {
     const api::PrecondEntry& entry = api::precond_registry().at(name);
-    const auto prec = entry.make(opts, dist);
+    const auto prec = entry.make(opts, prepared[0]);
     if (name == "none") {
       EXPECT_EQ(prec, nullptr);
     } else {
@@ -382,30 +382,34 @@ TEST(SolveReport, ReportLogAggregatesAndSaves) {
 
 TEST(SolveReport, LeafPhasesFitInsideTotal) {
   // Every leaf bucket is timed inside `total`, the exit residual's
-  // SpMV, halo exchange and norm reduce included, so at one rank (no
-  // max-across-ranks merge) the leaves cannot sum past the total.  A
-  // 50 ms delay on the solve's last all-reduce (the exit residual's
-  // norm, timed as ortho/reduce) makes a reduce outside `total` show.
-  for (const char* solver_spec :
-       {"solver=gmres ortho=cgs2 m=10", "solver=sstep ortho=two_stage"}) {
-    const std::string spec =
-        std::string(solver_spec) +
-        " matrix=laplace2d_9pt nx=32 ranks=1 rtol=1e-30 max_restarts=2";
-    api::Solver clean(api::SolverOptions::parse(spec));
-    const std::uint64_t reduces = clean.solve().result.comm_stats.allreduces;
-    ASSERT_GT(reduces, 0u) << spec;
-    api::Solver delayed(api::SolverOptions::parse(
-        spec + " faults=comm.allreduce@" + std::to_string(reduces - 1) +
-        ":delay50"));
-    const util::PhaseTimers& timers = delayed.solve().result.timers;
-    EXPECT_GE(timers.seconds(util::Phase::kOrthoReduce), 0.05) << spec;
-    double leaves = 0.0;
-    for (std::size_t p = 0; p < util::kPhaseCount; ++p) {
-      if (static_cast<util::Phase>(p) != util::Phase::kTotal) {
-        leaves += timers.seconds(static_cast<util::Phase>(p));
+  // SpMV, halo exchange and norm reduce included, and the report
+  // carries one rank's timers (the critical rank's), so the leaves
+  // cannot sum past the total at any rank count.  A 50 ms delay on the
+  // solve's last all-reduce (the exit residual's norm, timed as
+  // ortho/reduce) makes a reduce outside `total` show.
+  for (const int ranks : {1, 2, 7}) {
+    for (const char* solver_spec :
+         {"solver=gmres ortho=cgs2 m=10", "solver=sstep ortho=two_stage"}) {
+      const std::string spec =
+          std::string(solver_spec) +
+          " matrix=laplace2d_9pt nx=32 rtol=1e-30 max_restarts=2 ranks=" +
+          std::to_string(ranks);
+      api::Solver clean(api::SolverOptions::parse(spec));
+      const std::uint64_t reduces = clean.solve().result.comm_stats.allreduces;
+      ASSERT_GT(reduces, 0u) << spec;
+      api::Solver delayed(api::SolverOptions::parse(
+          spec + " faults=comm.allreduce@" + std::to_string(reduces - 1) +
+          ":delay50"));
+      const util::PhaseTimers& timers = delayed.solve().result.timers;
+      EXPECT_GE(timers.seconds(util::Phase::kOrthoReduce), 0.05) << spec;
+      double leaves = 0.0;
+      for (std::size_t p = 0; p < util::kPhaseCount; ++p) {
+        if (static_cast<util::Phase>(p) != util::Phase::kTotal) {
+          leaves += timers.seconds(static_cast<util::Phase>(p));
+        }
       }
+      EXPECT_LE(leaves, timers.seconds(util::Phase::kTotal)) << spec;
     }
-    EXPECT_LE(leaves, timers.seconds(util::Phase::kTotal)) << spec;
   }
 }
 
@@ -481,6 +485,92 @@ TEST(Facade, MatchesDirectKrylovRun) {
   for (std::size_t i = 0; i < x_direct.size(); ++i) {
     EXPECT_EQ(x_facade[i], x_direct[i]);  // identical arithmetic path
   }
+}
+
+// Everything a repeated solve must reproduce bit for bit.
+struct SolveFingerprint {
+  std::vector<double> x;
+  long iters = 0;
+  std::uint64_t allreduces = 0, p2p_rounds = 0, bytes_exchanged = 0;
+};
+
+SolveFingerprint fingerprint(api::Solver& solver) {
+  const api::SolveReport rep = solver.solve();
+  return {solver.solution(), rep.result.iters,
+          rep.result.comm_stats.allreduces, rep.result.comm_stats.p2p_rounds,
+          rep.result.comm_stats.bytes_exchanged};
+}
+
+void expect_same_solve(const SolveFingerprint& got,
+                       const SolveFingerprint& want, const std::string& what) {
+  ASSERT_EQ(got.x.size(), want.x.size()) << what;
+  EXPECT_EQ(std::memcmp(got.x.data(), want.x.data(),
+                        got.x.size() * sizeof(double)),
+            0)
+      << what;
+  EXPECT_EQ(got.iters, want.iters) << what;
+  EXPECT_EQ(got.allreduces, want.allreduces) << what;
+  EXPECT_EQ(got.p2p_rounds, want.p2p_rounds) << what;
+  EXPECT_EQ(got.bytes_exchanged, want.bytes_exchanged) << what;
+}
+
+TEST(Facade, RepeatedSolvesReusePreparedOperatorBitwise) {
+  // A fixed restart budget (unreachable rtol) keeps every solve's work
+  // identical, so any state a reused piece, setup or scratch carried
+  // over would show in the bits.
+  const sparse::CsrMatrix a = sparse::laplace2d_5pt(20, 20);
+  const sparse::CsrMatrix other = sparse::laplace2d_9pt(18, 18);
+  for (const int ranks : {1, 2, 7}) {
+    for (const char* precond : {"none", "mc-gs", "chebyshev"}) {
+      api::SolverOptions opts = api::SolverOptions::parse(
+          "solver=sstep ortho=two_stage m=20 s=5 bs=20 rtol=1e-300 "
+          "max_restarts=1");
+      opts.precond = precond;
+      opts.ranks = ranks;
+      const std::string what =
+          std::string(precond) + " ranks=" + std::to_string(ranks);
+      const auto cold = [&opts](const sparse::CsrMatrix& m, int r) {
+        api::SolverOptions o = opts;
+        o.ranks = r;
+        api::Solver fresh(o);
+        fresh.set_matrix_ref(m);
+        return fingerprint(fresh);
+      };
+      const SolveFingerprint ref = cold(a, ranks);
+
+      api::Solver solver(opts);
+      solver.set_matrix_ref(a);
+      for (int rep = 0; rep < 3; ++rep) {
+        expect_same_solve(fingerprint(solver), ref,
+                          what + " solve " + std::to_string(rep));
+      }
+
+      // A new matrix drops the kept setup: the next solve is that
+      // matrix's cold answer.
+      solver.set_matrix_ref(other);
+      solver.set_rhs(api::ones_rhs(other));
+      expect_same_solve(fingerprint(solver), cold(other, ranks),
+                        what + " after set_matrix_ref");
+
+      // So does a new rank count.
+      const int new_ranks = ranks == 2 ? 3 : 2;
+      solver.options().ranks = new_ranks;
+      expect_same_solve(fingerprint(solver), cold(other, new_ranks),
+                        what + " after ranks=" + std::to_string(new_ranks));
+    }
+  }
+}
+
+TEST(Facade, BorrowedPreparedOperatorMustMatchRanks) {
+  const sparse::CsrMatrix a = sparse::laplace2d_5pt(12, 12);
+  api::PreparedOperator prepared(a, 2);
+  api::Solver solver(api::SolverOptions::parse("solver=sstep ranks=3"));
+  solver.set_matrix_ref(a).set_prepared(&prepared);
+  EXPECT_THROW((void)solver.solve(), std::invalid_argument);
+  solver.options().ranks = 2;
+  const SolveFingerprint borrowed = fingerprint(solver);
+  solver.set_prepared(nullptr);
+  expect_same_solve(fingerprint(solver), borrowed, "own vs borrowed");
 }
 
 // ---- util::Cli typo rejection ---------------------------------------

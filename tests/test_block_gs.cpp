@@ -6,7 +6,6 @@
 #include "dense/svd.hpp"
 #include "ortho/block_gs.hpp"
 #include "ortho/intra.hpp"
-#include "ortho/measures.hpp"
 #include "par/spmd.hpp"
 #include "synth/synthetic.hpp"
 

@@ -5,7 +5,6 @@
 #include "dense/blas3.hpp"
 #include "dense/svd.hpp"
 #include "ortho/intra.hpp"
-#include "ortho/measures.hpp"
 #include "par/spmd.hpp"
 #include "synth/synthetic.hpp"
 #include "util/timer.hpp"

@@ -379,7 +379,7 @@ TEST(NetworkModel, InjectedLatencyIsObservable) {
   EXPECT_GE(t.seconds(), expect_min);
 }
 
-TEST(PhaseTimers, AccumulateAndMerge) {
+TEST(PhaseTimers, AccumulateAndSum) {
   using util::Phase;
   using util::PaperPhase;
   const auto timed = [](util::PhaseTimers& t, Phase p, double s) {
@@ -397,17 +397,9 @@ TEST(PhaseTimers, AccumulateAndMerge) {
   EXPECT_EQ(t.seconds(Phase::kOrthoChol), 0.0);
   EXPECT_EQ(t.count(Phase::kOrthoChol), 0u);
 
-  util::PhaseTimers u;
-  timed(u, Phase::kOrthoDot, 3e-3);
-  timed(u, Phase::kOrthoTrsm, 1e-3);
-  const double t_dot = t.seconds(Phase::kOrthoDot);
+  timed(t, Phase::kOrthoTrsm, 1e-3);
   const double t_spmv = t.seconds(Phase::kSpmvLocal);
-  t.merge_max(u);
-  EXPECT_EQ(t.seconds(Phase::kOrthoDot),
-            std::max(t_dot, u.seconds(Phase::kOrthoDot)));
-  EXPECT_EQ(t.count(Phase::kOrthoDot), 2u);  // max(2, 1)
-  EXPECT_EQ(t.seconds(Phase::kSpmvLocal), t_spmv);
-  EXPECT_EQ(t.seconds(Phase::kOrthoTrsm), u.seconds(Phase::kOrthoTrsm));
+  EXPECT_GT(t.seconds(Phase::kOrthoTrsm), 0.0);
   EXPECT_EQ(t.count(Phase::kOrthoTrsm), 1u);
 
   // Paper-phase sums read the same table.

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +72,56 @@ TEST(Service, CacheHitBitwiseIdenticalAcrossRanksThreads) {
     }
   }
   par::set_num_threads(0);  // restore the default thread count
+}
+
+TEST(Service, ReusedPrecondSetupOnlyWhenTheSlotWasFilled) {
+  service::SolverService svc;
+  api::SolverOptions opts = bounded_opts(24, 2);
+  const auto reused = [&svc](const api::SolverOptions& o) {
+    const service::JobResult r = svc.wait(svc.submit(o));
+    EXPECT_TRUE(r.error.empty()) << r.error;
+    return r.report.service.reused_precond_setup;
+  };
+  // Jacobi has no cached setup.
+  opts.precond = "jacobi";
+  EXPECT_FALSE(reused(opts));
+  EXPECT_FALSE(reused(opts));
+  opts.precond = "mc-gs";
+  EXPECT_FALSE(reused(opts));
+  EXPECT_TRUE(reused(opts));
+  // A filled multicolor slot is not a Chebyshev setup.
+  opts.precond = "chebyshev";
+  EXPECT_FALSE(reused(opts));
+  EXPECT_TRUE(reused(opts));
+  // An explicit interval is built fresh every solve.
+  opts.precond_lambda_min = 0.05;
+  opts.precond_lambda_max = 2.0;
+  EXPECT_FALSE(reused(opts));
+  EXPECT_FALSE(reused(opts));
+}
+
+TEST(Service, BuiltOperatorBytesAreMatrixPiecesAndRhs) {
+  // The byte count an entry is admitted with (before any setup slot or
+  // scratch fills): benchmarks size their cache budgets from it.
+  for (const char* op : {"matrix=laplace2d_5pt nx=64 precond=none",
+                         "matrix=laplace2d_9pt nx=96 precond=none",
+                         "matrix=laplace2d_5pt nx=128 precond=jacobi",
+                         "matrix=laplace3d_7pt nx=24 precond=none",
+                         "matrix=laplace3d_7pt nx=32 precond=none",
+                         "matrix=laplace3d_27pt nx=24 precond=chebyshev"}) {
+    const api::SolverOptions opts = api::SolverOptions::parse(
+        std::string("solver=sstep ortho=two_stage m=30 s=5 bs=30 rtol=1e-6 "
+                    "ranks=1 net=off ") +
+        op);
+    const std::shared_ptr<service::CachedOperator> built =
+        service::build_operator(opts);
+    std::size_t want = built->matrix.storage_bytes() +
+                       built->ones_b.size() * sizeof(double);
+    for (int r = 0; r < built->prepared.ranks(); ++r) {
+      want += built->prepared[r].dist.footprint_bytes();
+    }
+    EXPECT_EQ(built->bytes(), want) << op;
+  }
 }
 
 TEST(Service, OperatorCacheKeyCoversOperatorNotAlgorithm) {

@@ -7,7 +7,6 @@
 #include "dense/blas3.hpp"
 #include "dense/svd.hpp"
 #include "ortho/manager.hpp"
-#include "ortho/measures.hpp"
 #include "par/spmd.hpp"
 #include "synth/synthetic.hpp"
 
