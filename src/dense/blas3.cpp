@@ -533,37 +533,6 @@ void trsm_right_upper(ConstMatrixView u, MatrixView b) {
       });
 }
 
-void trmm_right_upper(ConstMatrixView u, MatrixView b) {
-  assert(u.rows == u.cols && u.cols == b.cols);
-  const index_t n = b.rows, s = b.cols;
-  // Row-tiled like trsm_right_upper; columns processed right-to-left
-  // within a tile so each source column is still unmodified when read.
-  par::parallel_for_tiles(
-      static_cast<std::size_t>(n), static_cast<std::size_t>(kRowBlock),
-      [&](std::size_t rb, std::size_t re) {
-        const auto rlo = static_cast<index_t>(rb);
-        const auto rhi = static_cast<index_t>(re);
-        for (index_t i0 = rlo; i0 < rhi; i0 += kRowBlock) {
-          const index_t ib = std::min(kRowBlock, rhi - i0);
-          for (index_t j = s - 1; j >= 0; --j) {
-            double* bj = b.col(j) + i0;
-            const double ujj = u(j, j);
-            const simd::Vec vjj = simd::set1(ujj);
-            index_t i = 0;
-            for (; i + kW <= ib; i += kW) {
-              simd::store(bj + i, simd::mul(vjj, simd::load(bj + i)));
-            }
-            for (; i < ib; ++i) bj[i] *= ujj;
-            for (index_t l = 0; l < j; ++l) {
-              const double ulj = u(l, j);
-              if (ulj == 0.0) continue;
-              fused_axpy1(ulj, b.col(l) + i0, bj, ib);
-            }
-          }
-        }
-      });
-}
-
 double frobenius_norm(ConstMatrixView a) {
   // One chunked reduction over the row dimension covering all columns
   // per chunk: a single pool dispatch, deterministic because the chunk

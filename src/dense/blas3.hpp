@@ -75,9 +75,6 @@ void gemm_nt(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
 /// of CholQR, paper Fig. 3a).  B is n x s tall-skinny.
 void trsm_right_upper(ConstMatrixView u, MatrixView b);
 
-/// B := B * U  (multiply on the right by upper triangular U).
-void trmm_right_upper(ConstMatrixView u, MatrixView b);
-
 /// Frobenius norm of a view.
 double frobenius_norm(ConstMatrixView a);
 

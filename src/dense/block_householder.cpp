@@ -1,8 +1,6 @@
 #include "dense/block_householder.hpp"
 
-#include "dense/blas2.hpp"
-#include "dense/blas3.hpp"
-
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -94,8 +92,13 @@ double BlockHessenbergLeastSquares::residual_norm(index_t t) const {
   return std::sqrt(s);
 }
 
-Matrix BlockHessenbergLeastSquares::solve_y() const {
+Matrix BlockHessenbergLeastSquares::coefficients() const {
   Matrix y(ncols_, b_);
+  if (givens_) {
+    const std::vector<double> y1 = givens_->solve_y();
+    std::copy(y1.begin(), y1.end(), y.col(0));
+    return y;
+  }
   for (index_t t = 0; t < b_; ++t) {
     for (index_t i = ncols_ - 1; i >= 0; --i) {
       double s = g_(i, t);
@@ -104,18 +107,6 @@ Matrix BlockHessenbergLeastSquares::solve_y() const {
     }
   }
   return y;
-}
-
-void BlockHessenbergLeastSquares::combine(ConstMatrixView q,
-                                          MatrixView z) const {
-  assert(q.cols >= ncols_ && z.cols == b_ && z.rows == q.rows);
-  if (givens_) {
-    dense::gemv(1.0, q.columns(0, ncols_), givens_->solve_y(), 0.0,
-                std::span<double>(z.col(0), static_cast<std::size_t>(z.rows)));
-    return;
-  }
-  const Matrix y = solve_y();
-  dense::gemm_nn(1.0, q.columns(0, ncols_), y.view(), 0.0, z);
 }
 
 }  // namespace tsbo::dense

@@ -13,9 +13,8 @@
 // the 2-norm of its rows [k, k+b) — the block generalization of the
 // |g_{k+1}| readout of the scalar Givens solver (dense/givens.hpp).
 //
-// Width selection lives here, not in the solver: at b == 1 the class
-// runs that Givens solver itself (and forms the correction with gemv),
-// so a width-1 block solve carries the single-RHS GMRES bits.
+// At b == 1 the class runs that Givens solver itself, so a width-1
+// block solve carries the single-RHS GMRES bits.
 
 #include "dense/givens.hpp"
 #include "dense/matrix.hpp"
@@ -50,15 +49,12 @@ class BlockHessenbergLeastSquares {
   [[nodiscard]] index_t cols() const { return ncols_; }
   [[nodiscard]] index_t block_width() const { return b_; }
 
-  /// Z = Q(:, 0:cols()) Y, where column t of Y minimizes
-  /// ||E1 s0(:, t) - H y_t|| — the Krylov combination of the GMRES
-  /// correction, from the basis columns q (q.cols >= cols()).
-  void combine(ConstMatrixView q, MatrixView z) const;
+  /// Y (cols() x b): column t minimizes ||E1 s0(:, t) - H y_t||, the
+  /// coefficients of the GMRES correction Q(:, 0:cols()) Y.  Givens
+  /// back-substitution at b == 1, Householder at b > 1.
+  [[nodiscard]] Matrix coefficients() const;
 
  private:
-  /// Householder back-substitution for Y (cols() x b; b > 1).
-  [[nodiscard]] Matrix solve_y() const;
-
   std::optional<HessenbergLeastSquares> givens_;  // the b == 1 solver
   index_t b_;
   index_t ncols_ = 0;

@@ -1,6 +1,8 @@
 #include "krylov/sstep_gmres.hpp"
 
 #include "dense/blas1.hpp"
+#include "dense/blas2.hpp"
+#include "dense/blas3.hpp"
 #include "dense/block_householder.hpp"
 #include "krylov/hessenberg.hpp"
 
@@ -319,7 +321,9 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     const dense::MatrixView rv = rmat.block(0, 0, (m + 1) * bw, (m + 1) * bw);
     const dense::MatrixView lv = lmat.block(0, 0, (m + 1) * bw, (m + 1) * bw);
     const dense::MatrixView hv = hmat.block(0, 0, (m + 1) * bw, m * bw);
-    manager->reset(bw);
+    // The cycle's basis is read only through the correction Q Y once it
+    // is complete, so its closing stage-2 transform folds into Y.
+    manager->reset(bw, /*fold_close=*/true);
     dense::BlockHessenbergLeastSquares ls(m * bw, bw, s0);
 
     index_t assembled = 0;   // flat Hessenberg columns appended so far
@@ -409,12 +413,22 @@ SolveResult sstep_gmres(par::Communicator& comm, const sparse::DistCsr& a,
     append_new_columns(nfinal);
 
     // Correction: X_active += M^{-1} (Q_{1:assembled} Y).  The residual
-    // block is dead after the seed, so ract holds Q Y.
+    // block is dead after the seed, so ract holds Q Y.  Width 1 forms
+    // the product with gemv, the single-RHS GMRES bits.
     if (ls.cols() > 0) {
       const dense::MatrixView z = ract.block(0, 0, rows, bw);
       {
         const util::ScopedPhase t(&res.timers, util::Phase::kOrthoSmall);
-        ls.combine(basis_v, z);
+        dense::Matrix y = ls.coefficients();
+        manager->fold_correction(y.view());
+        const dense::ConstMatrixView q = basis_v.columns(0, ls.cols());
+        if (bw == 1) {
+          dense::gemv(1.0, q, std::span<const double>(
+                                 y.col(0), static_cast<std::size_t>(y.rows())),
+                      0.0, std::span<double>(z.col(0), nloc));
+        } else {
+          dense::gemm_nn(1.0, q, y.view(), 0.0, z);
+        }
       }
       op.apply_minv(z, tmp.block(0, 0, rows, bw), &res.timers);
       for (index_t t = 0; t < bw; ++t) {

@@ -12,7 +12,10 @@
 // has finalized, and convergence is checked at that granularity:
 // every s steps for the one-stage schemes, every bs steps for the
 // two-stage scheme — reproducing the paper's iteration-count rounding
-// (Table III: 60251 / 60255 / 60300).
+// (Table III: 60251 / 60255 / 60300).  The correction X += M^{-1} Q Y
+// is the only reader of a complete basis, so the manager may leave the
+// cycle's closing stage-2 transform unapplied and fold it into Y
+// (BlockOrthoManager::reset's fold_close).
 //
 // Block width b: the basis interleaves the b RHS streams — flat column
 // c = j*b + t carries RHS t's contribution to block step j — so each
@@ -30,7 +33,8 @@
 // apply() per column by default; Chebyshev's fused chunks run a
 // width-1 chunk at one column, which is its apply());
 // dense::BlockHessenbergLeastSquares runs Givens at b = 1 and
-// Householder-on-H above; ortho::residual_gram / seed_block take the
+// Householder-on-H above, and the correction is a gemv at b = 1;
+// ortho::residual_gram / seed_block take the
 // sumsq + all-reduce norm and the r / gamma seed at one column (no Gram
 // Cholesky).  So a width-1 solve is the classic single-RHS s-step
 // GMRES, bit for bit.

@@ -67,8 +67,8 @@ void bcgs2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
   reortho_fixup(t_prev.view(), t_diag.view(), r_prev, r_diag);
 }
 
-void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-              MatrixView r_prev, MatrixView r_diag) {
+void bcgs_pip_factor(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
+                     MatrixView r_prev, MatrixView r_diag) {
   assert(r_prev.rows == q.cols && r_prev.cols == v.cols);
   assert(r_diag.rows == v.cols && r_diag.cols == v.cols);
   const index_t nq = q.cols;
@@ -130,7 +130,11 @@ void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
     }
     chol_factor(ctx, r_diag, "BCGS-PIP");
   }
+}
 
+void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
+              MatrixView r_prev, MatrixView r_diag) {
+  bcgs_pip_factor(ctx, q, v, r_prev, r_diag);
   // V := (V - Q r_prev) r_diag^{-1} (Fig. 4a lines 3-4).
   block_update(ctx, q, r_prev, v);
   block_scale(ctx, r_diag, v);

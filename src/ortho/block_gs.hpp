@@ -53,6 +53,14 @@ void bcgs2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
 void bcgs_pip(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
               MatrixView r_prev, MatrixView r_diag);
 
+/// BCGS-PIP's coefficients alone (Fig. 4a lines 1-2): the fused Gram,
+/// its reduce and the Cholesky fill r_prev and r_diag, and V is left
+/// as it was.  bcgs_pip is this call followed by the update and the
+/// TRSM; the two-stage manager calls it alone for a flush whose basis
+/// columns are read only through the GMRES correction Q y.
+void bcgs_pip_factor(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
+                     MatrixView r_prev, MatrixView r_diag);
+
 /// BCGS-PIP2 (paper Fig. 4b): BCGS-PIP twice with triangular fix-ups.
 /// Two reduces.  With q == 0 this is CholQR2.
 void bcgs_pip2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,

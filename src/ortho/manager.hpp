@@ -80,7 +80,21 @@ class BlockOrthoManager {
   /// Starts a new restart cycle whose basis is seeded with `n_seed`
   /// already-final columns: 1 for the single normalized residual, b
   /// for block GMRES's CholQR'd b-wide residual block.
-  virtual void reset(index_t n_seed) = 0;
+  ///
+  /// `fold_close` is for a caller that reads the cycle's basis only
+  /// through the correction Q y once the basis is complete (the s-step
+  /// solver).  A flush that completes the basis (q_end == basis.cols)
+  /// then keeps its transform instead of applying it to the big panel,
+  /// and fold_correction() applies it to y.  Every other flush, and
+  /// every flush without `fold_close`, leaves the basis final.
+  virtual void reset(index_t n_seed, bool fold_close = false) = 0;
+
+  /// Folds a transform kept back by a `fold_close` flush into the
+  /// correction coefficients y (one row per basis column the caller
+  /// multiplies): afterwards basis.columns(0, y.rows) * y is the
+  /// correction the finished basis would give.  A no-op when the
+  /// cycle's closing flush kept nothing back.
+  virtual void fold_correction(MatrixView /*y*/) const {}
 
   /// Global synchronizations per s steps (the paper's accounting:
   /// BCGS2+CholQR2 = 5, BCGS-PIP2 = 2, two-stage = 1 + s/bs).

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace tsbo::ortho {
 
@@ -50,7 +51,7 @@ class OneStageManager : public BlockOrthoManager {
     return q_total;  // nothing pending
   }
 
-  void reset(index_t) override {}
+  void reset(index_t, bool) override {}
 
  protected:
   virtual void run(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
@@ -134,11 +135,38 @@ class TwoStageManager final : public BlockOrthoManager {
     return 1.0 + static_cast<double>(s) / static_cast<double>(bs > 0 ? bs : bs_);
   }
 
-  void reset(index_t n_seed) override {
+  void reset(index_t n_seed, bool fold_close) override {
     // The open big panel starts right after the n_seed final columns.
     big_begin_ = n_seed;
     pending_ = 0;
     pending_starts_.clear();
+    fold_close_ = fold_close;
+    folded_ = false;
+  }
+
+  void fold_correction(MatrixView y) const override {
+    if (!folded_) return;
+    // Q_big = (V_big - Q_final T_prev) T_diag^{-1} and T_diag is upper
+    // triangular, so the first c columns of Q_big need only the first
+    // c of V_big, T_prev and T_diag:
+    //   Q y = Q_final (y_final - T_prev[:, :c] w) + V_big[:, :c] w,
+    //   w = T_diag[:c, :c]^{-1} y_big.
+    const index_t qprev = fold_qprev_;
+    const index_t c = y.rows - qprev;
+    assert(c <= fold_t_diag_.rows());
+    if (c <= 0) return;
+    MatrixView yb = y.block(qprev, 0, c, y.cols);
+    for (index_t t = 0; t < y.cols; ++t) {
+      for (index_t i = c - 1; i >= 0; --i) {
+        double acc = yb(i, t);
+        for (index_t j = i + 1; j < c; ++j) acc -= fold_t_diag_(i, j) * yb(j, t);
+        yb(i, t) = acc / fold_t_diag_(i, i);
+      }
+    }
+    if (qprev > 0) {
+      dense::gemm_nn(-1.0, fold_t_prev_.view().block(0, 0, qprev, c), yb, 1.0,
+                     y.block(0, 0, qprev, y.cols));
+    }
   }
 
   void note_mpk_start(OrthoContext&, MatrixView l, index_t start) override {
@@ -209,7 +237,9 @@ class TwoStageManager final : public BlockOrthoManager {
   /// Stage 2 (Fig. 5 lines 16-19): one BCGS-PIP of the whole big panel
   /// of `pending_` columns against the final columns, followed by the
   /// triangular fix-up of the stage-1 coefficients and the L
-  /// bookkeeping for Hessenberg assembly.
+  /// bookkeeping for Hessenberg assembly.  Under `fold_close_`, a flush
+  /// that completes the basis skips line 17's update and TRSM and keeps
+  /// T_prev and T_diag for fold_correction().
   index_t flush(OrthoContext& ctx, MatrixView basis, index_t q_end,
                 MatrixView r, MatrixView l) {
     const index_t qprev = big_begin_;
@@ -224,7 +254,12 @@ class TwoStageManager final : public BlockOrthoManager {
     // (stage 2 does not touch R).
     const dense::Matrix rbig =
         dense::copy_of(r.block(qprev, qprev, nbig, nbig));
-    bcgs_pip(ctx, qfinal, big, t_prev.view(), t_diag.view());
+    const bool fold = fold_close_ && q_end == basis.cols;
+    if (fold) {
+      bcgs_pip_factor(ctx, qfinal, big, t_prev.view(), t_diag.view());
+    } else {
+      bcgs_pip(ctx, qfinal, big, t_prev.view(), t_diag.view());
+    }
 
     // R fix-up (Fig. 5 lines 18-19):
     //   R[0:qprev, big]   += T_prev * R[big, big]
@@ -251,6 +286,12 @@ class TwoStageManager final : public BlockOrthoManager {
       for (index_t i = 0; i < nbig; ++i) l(qprev + i, start) = t_diag(i, local);
     }
 
+    if (fold) {
+      fold_qprev_ = qprev;
+      fold_t_prev_ = std::move(t_prev);
+      fold_t_diag_ = std::move(t_diag);
+      folded_ = true;
+    }
     pending_starts_.clear();
     pending_ = 0;
     big_begin_ = q_end;
@@ -261,6 +302,12 @@ class TwoStageManager final : public BlockOrthoManager {
   index_t big_begin_ = 1;  // first column of the open big panel
   index_t pending_ = 0;    // pre-processed columns awaiting stage 2
   std::vector<index_t> pending_starts_;
+  // The transform a fold_close flush kept back (see reset()).
+  bool fold_close_ = false;
+  bool folded_ = false;
+  index_t fold_qprev_ = 0;
+  dense::Matrix fold_t_prev_;
+  dense::Matrix fold_t_diag_;
 };
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -265,6 +266,43 @@ TEST(Autopilot, ForcedMidSolveBreakdownRecoversBitwiseAcrossThreads) {
     ASSERT_EQ(run.x.size(), x0.size());
     for (std::size_t i = 0; i < x0.size(); ++i) {
       ASSERT_EQ(run.x[i], x0[i]) << "threads=" << t << " drift at " << i;
+    }
+  }
+}
+
+TEST(Autopilot, ClosingStageTwoBreakdownRebasesAndConverges) {
+  // The stage-2 flush that closes a cycle keeps its transform for the
+  // correction instead of applying it to the basis.  A breakdown in
+  // that flush's Cholesky must still take the re-base path: the
+  // autopilot converges and the true residual passes the guard, and
+  // without it the breakdown surfaces.  Ordinals count from 0, six
+  // stage-1 factors per m = 30, s = 5 cycle (the width-1 seed takes
+  // none), so the first cycle closes at
+  //   bs = 30: ordinal 6, flushed by the last add_panel;
+  //   bs = 15: ordinal 7, after the mid-cycle flush at ordinal 3;
+  //   bs = 20: ordinal 7, the 10-column rest flushed by finalize.
+  for (const auto& [bs, ordinal] :
+       {std::pair{30, 6}, std::pair{15, 7}, std::pair{20, 7}}) {
+    for (const int ranks : {1, 2}) {
+      api::SolverOptions opts = api::SolverOptions::parse(
+          "solver=sstep ortho=two_stage matrix=laplace2d_5pt nx=24 m=30 s=5 "
+          "rtol=1e-8 breakdown=throw verify_residual=1 autopilot=1");
+      opts.bs = bs;
+      opts.ranks = ranks;
+      opts.faults = "gram.chol@" + std::to_string(ordinal) + ":corrupt";
+      const std::string where =
+          "bs=" + std::to_string(bs) + " ranks=" + std::to_string(ranks);
+      api::Solver solver(opts);
+      const api::SolveReport rep = solver.solve();
+      EXPECT_TRUE(rep.result.converged) << where;
+      EXPECT_GE(rep.result.rebase_recoveries, 1) << where;
+      EXPECT_EQ(rep.resilience.guard_verdict, "ok") << where;
+      ASSERT_EQ(rep.resilience.fault_trail.size(), 1u) << where;
+      EXPECT_EQ(rep.resilience.fault_trail[0].ordinal, ordinal) << where;
+
+      opts.autopilot = false;
+      api::Solver fixed(opts);
+      EXPECT_THROW((void)fixed.solve(), ortho::CholeskyBreakdown) << where;
     }
   }
 }

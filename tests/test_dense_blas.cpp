@@ -155,7 +155,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(300, 13, 13), std::make_tuple(1000, 2, 61),
                       std::make_tuple(33, 61, 4)));
 
-TEST(Blas3, TrsmRightUpperInvertsTrmm) {
+TEST(Blas3, TrsmRightUpperInvertsUpperProduct) {
   const index_t n = 200, s = 7;
   Matrix b0 = random_matrix(n, s, 55);
   Matrix u(s, s);
@@ -164,9 +164,9 @@ TEST(Blas3, TrsmRightUpperInvertsTrmm) {
     for (index_t i = 0; i < j; ++i) u(i, j) = rng.normal();
     u(j, j) = 2.0 + rng.uniform();  // well away from zero
   }
-  Matrix b = dense::copy_of(b0.view());
-  dense::trmm_right_upper(u.view(), b.view());   // b = b0 * U
-  dense::trsm_right_upper(u.view(), b.view());   // b = b0 again
+  Matrix b(n, s);
+  dense::gemm_nn(1.0, b0.view(), u.view(), 0.0, b.view());  // b = b0 * U
+  dense::trsm_right_upper(u.view(), b.view());              // b = b0 again
   EXPECT_LT(dense::max_abs_diff(b.view(), b0.view()), 1e-12 * s);
 }
 

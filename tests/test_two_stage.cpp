@@ -9,10 +9,13 @@
 #include "ortho/manager.hpp"
 #include "par/spmd.hpp"
 #include "synth/synthetic.hpp"
+#include "util/random.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 namespace {
 
@@ -240,6 +243,102 @@ TEST(TwoStageManager, PartialBigPanelFlushesOnFinalize) {
   const ManagerRun run = run_manager(*mgr, ctx, v, s, /*finalize_at_end=*/true);
   EXPECT_EQ(run.nfinal, m + 1);
   EXPECT_LT(dense::orthogonality_error(run.basis.view()), 1e-12);
+}
+
+TEST(TwoStageManager, DeferredCloseMatchesMaterializedCorrection) {
+  // A fold_close cycle skips the closing flush's update and TRSM and
+  // folds its transform into Y instead.  Everything the flush computes
+  // (R, L, the final-column count, the reduces) must come out identical
+  // to a plain finalize, and Q Y from the kept stage-1 columns must
+  // match Q Y from the finished basis to rounding.  The Fig. 8 glued
+  // matrix leaves stage 1 far enough from exact that T_prev and T_diag
+  // each move Q Y by more than the tolerance.
+  const index_t n = 1500, s = 5, m = 30;
+  const Matrix v = glued_with_seed(n, m / s, s, 1e7, 2.0, 23);
+  for (const index_t bs : {5, 15, 30}) {
+    for (const bool dd : {false, true}) {
+      par::spmd_run(2, [&](par::Communicator& comm) {
+        const auto range = par::block_row_range(n, comm.size(), comm.rank());
+        const Matrix local = dense::copy_of(
+            v.view().block(static_cast<index_t>(range.begin), 0,
+                           static_cast<index_t>(range.size()), v.cols()));
+        ortho::OrthoContext ctx;
+        ctx.comm = &comm;
+        ctx.mixed_precision_gram = dd;
+        const double nrm = ortho::global_norm(
+            ctx, std::span<const double>(
+                     local.col(0), static_cast<std::size_t>(local.rows())));
+        const auto run = [&](ortho::BlockOrthoManager& mgr, bool fold_close,
+                             std::uint64_t& allreduces) {
+          ManagerRun out{dense::copy_of(local.view()), Matrix(m + 1, m + 1),
+                         Matrix(m + 1, m + 1), 0};
+          for (index_t i = 0; i < out.basis.rows(); ++i) out.basis(i, 0) /= nrm;
+          out.r(0, 0) = 1.0;
+          mgr.reset(1, fold_close);
+          comm.reset_stats();
+          for (index_t p = 0; p < m / s; ++p) {
+            mgr.note_mpk_start(ctx, out.l.view(), p * s);
+            out.nfinal = mgr.add_panel(ctx, out.basis.view(), p * s + 1, s,
+                                       out.r.view(), out.l.view());
+          }
+          out.nfinal = mgr.finalize(ctx, out.basis.view(), m + 1, out.r.view(),
+                                    out.l.view());
+          allreduces = comm.stats().allreduces;
+          return out;
+        };
+        std::uint64_t sync_plain = 0;
+        std::uint64_t sync_fold = 0;
+        const auto plain_mgr = ortho::make_two_stage_manager(bs);
+        const auto fold_mgr = ortho::make_two_stage_manager(bs);
+        const ManagerRun plain = run(*plain_mgr, false, sync_plain);
+        const ManagerRun kept = run(*fold_mgr, true, sync_fold);
+        const std::string where = "bs=" + std::to_string(bs) +
+                                  " dd=" + std::to_string(dd) +
+                                  " rank=" + std::to_string(comm.rank());
+        EXPECT_EQ(kept.nfinal, plain.nfinal) << where;
+        EXPECT_EQ(sync_fold, sync_plain) << where;
+        EXPECT_EQ(std::memcmp(kept.r.col(0), plain.r.col(0),
+                              sizeof(double) * (m + 1) * (m + 1)), 0)
+            << where;
+        EXPECT_EQ(std::memcmp(kept.l.col(0), plain.l.col(0),
+                              sizeof(double) * (m + 1) * (m + 1)), 0)
+            << where;
+        // Columns before the closing big panel are final on both paths;
+        // the closing big panel itself kept its stage-1 columns.
+        const index_t closed = m + 1 - bs;
+        const auto col_bytes = sizeof(double) * kept.basis.rows();
+        EXPECT_EQ(std::memcmp(kept.basis.col(0), plain.basis.col(0),
+                              col_bytes * closed), 0)
+            << where;
+        EXPECT_NE(std::memcmp(kept.basis.col(closed), plain.basis.col(closed),
+                              col_bytes * bs), 0)
+            << where;
+
+        // The solver multiplies the first m columns (the Hessenberg
+        // columns); all m + 1 exercise the full T_diag.
+        for (const index_t ncols : {m, m + 1}) {
+          for (const index_t w : {1, 3}) {
+            Matrix y(ncols, w);
+            util::Xoshiro256 rng(static_cast<std::uint64_t>(100 + ncols + w));
+            for (index_t j = 0; j < w; ++j) {
+              for (index_t i = 0; i < ncols; ++i) y(i, j) = rng.normal();
+            }
+            Matrix y_fold = dense::copy_of(y.view());
+            fold_mgr->fold_correction(y_fold.view());
+            Matrix qy(local.rows(), w);
+            Matrix qy_fold(local.rows(), w);
+            dense::gemm_nn(1.0, plain.basis.view().columns(0, ncols), y.view(),
+                           0.0, qy.view());
+            dense::gemm_nn(1.0, kept.basis.view().columns(0, ncols),
+                           y_fold.view(), 0.0, qy_fold.view());
+            EXPECT_LT(dense::max_abs_diff(qy.view(), qy_fold.view()),
+                      1e-12 * dense::frobenius_norm(qy.view()))
+                << where << " ncols=" << ncols << " w=" << w;
+          }
+        }
+      });
+    }
+  }
 }
 
 TEST(TwoStageManager, RejectsBadConfiguration) {
