@@ -1,5 +1,7 @@
 #include "krylov/matrix_powers.hpp"
 
+#include "par/config.hpp"
+
 #include <cassert>
 
 namespace tsbo::krylov {
@@ -49,18 +51,24 @@ void matrix_powers(par::Communicator& comm, const PrecOperator& op,
     op.apply(comm, x, v, timers);
 
     if (st.theta != 0.0 || st.sigma != 0.0 || st.gamma != 1.0) {
+      // Element-wise, so the row split cannot change the bits.  MPK
+      // work: timed with the local SpMV rows.
+      const util::ScopedPhase phase(timers, util::Phase::kSpmvLocal);
       const double inv_gamma = 1.0 / st.gamma;
-      for (index_t t = 0; t < b; ++t) {
-        const double* xc = x.col(t);
-        const double* prev =
-            st.sigma != 0.0 ? basis_cols.col((in_block - 1) * b + t) : nullptr;
-        double* vc = v.col(t);
-        for (std::size_t i = 0; i < nloc; ++i) {
-          double tv = vc[i] - st.theta * xc[i];
-          if (prev != nullptr) tv -= st.sigma * prev[i];
-          vc[i] = tv * inv_gamma;
+      const index_t prev_col = st.sigma != 0.0 ? (in_block - 1) * b : -1;
+      par::parallel_for_grained(nloc, [&](std::size_t lo, std::size_t hi) {
+        for (index_t t = 0; t < b; ++t) {
+          const double* xc = x.col(t);
+          const double* prev =
+              prev_col >= 0 ? basis_cols.col(prev_col + t) : nullptr;
+          double* vc = v.col(t);
+          for (std::size_t i = lo; i < hi; ++i) {
+            double tv = vc[i] - st.theta * xc[i];
+            if (prev != nullptr) tv -= st.sigma * prev[i];
+            vc[i] = tv * inv_gamma;
+          }
         }
-      }
+      });
     }
   }
 }

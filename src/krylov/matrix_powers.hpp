@@ -53,7 +53,9 @@ class PrecOperator {
 /// gamma_k applied blockwise, where the step index is counted in blocks
 /// (block j is generated with basis.step(j - 1)).  Each of the s steps
 /// costs one operator application (PrecOperator::apply): one
-/// preconditioner pass and ONE halo exchange for all b columns.
+/// preconditioner pass and ONE halo exchange for all b columns.  The
+/// theta/sigma/gamma pass that follows (skipped for monomial steps) is
+/// element-wise over the rank's lanes and timed as spmv/local.
 void matrix_powers(par::Communicator& comm, const PrecOperator& op,
                    const KrylovBasis& basis, dense::MatrixView basis_cols,
                    index_t first_out, index_t s, util::PhaseTimers* timers,

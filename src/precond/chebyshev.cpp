@@ -1,6 +1,7 @@
 #include "precond/chebyshev.hpp"
 
 #include "par/config.hpp"
+#include "sparse/spmv.hpp"
 #include "util/simd.hpp"
 
 #include <algorithm>
@@ -12,27 +13,20 @@ namespace tsbo::precond {
 
 namespace {
 
-/// z = D^{-1} A y on rows [begin, end) of n x W row-major operands.
-/// Each column accumulates its row in ascending nnz order and scales
-/// the finished sum, whatever W is, so a column's bits do not depend on
-/// the width of the chunk it rides in.
+/// z = D^{-1} A y on rows [begin, end) of n x W row-major operands:
+/// each row's W sums come from sparse::for_each_row_product (one lane
+/// per column, ascending nnz order, one vector FMA per nonzero) and are
+/// scaled and stored as one vector.  The scale is the same single
+/// multiply per entry, so a column's bits do not depend on the width
+/// of the chunk it rides in.
 template <std::size_t W>
 void scaled_spmv_rows(const sparse::CsrMatrix& a, const double* inv_diag,
                       std::size_t begin, std::size_t end, const double* y,
                       double* z) {
-  const sparse::offset* rp = a.row_ptr.data();
-  const sparse::ord* col = a.col_idx.data();
-  const double* val = a.values.data();
-  for (std::size_t i = begin; i < end; ++i) {
-    double acc[W];
-    for (std::size_t t = 0; t < W; ++t) acc[t] = 0.0;
-    for (sparse::offset k = rp[i]; k < rp[i + 1]; ++k) {
-      const double v = val[k];
-      const double* yr = y + static_cast<std::size_t>(col[k]) * W;
-      for (std::size_t t = 0; t < W; ++t) acc[t] += v * yr[t];
-    }
-    for (std::size_t t = 0; t < W; ++t) z[i * W + t] = acc[t] * inv_diag[i];
-  }
+  sparse::for_each_row_product<W>(
+      a, begin, end, y, W, [&](std::size_t i, const simd::VecN<W>& acc) {
+        simd::store_n<W>(z + i * W, simd::mul_n<W>(acc, inv_diag[i]));
+      });
 }
 
 /// Stores entry(i, t), the new y of column t at row i, for rows

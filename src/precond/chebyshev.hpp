@@ -19,8 +19,10 @@
 // up to kMaxWidth, one compile-time-width recurrence per chunk, with
 // the chunk's iterate, search direction and scaled product kept
 // row-major (k-interleaved) so each nonzero of the scaled SpMV loads
-// the chunk's W iterate values in one contiguous read; apply() is the
-// width-1 chunk.  Every pass splits its rows over the rank's lanes.
+// the chunk's W iterate values in one contiguous vector read and
+// updates them with one vector FMA (sparse::for_each_row_product);
+// apply() is the width-1 chunk.  Every pass splits its rows over the
+// rank's lanes.
 
 #include "precond/preconditioner.hpp"
 #include "sparse/dist_csr.hpp"

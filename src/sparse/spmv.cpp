@@ -61,44 +61,8 @@ inline void spmv_range(const CsrMatrix& a, ord begin, ord end,
   }
 }
 
-inline void spmv_range_scaled(double alpha, const CsrMatrix& a, ord begin,
-                              ord end, const double* x, double beta,
-                              double* y) {
-  const offset* rp = a.row_ptr.data();
-  const ord* col = a.col_idx.data();
-  const double* val = a.values.data();
-  for (ord i = begin; i < end; ++i) {
-    const double s = row_dot(val + rp[i], col + rp[i], rp[i + 1] - rp[i], x);
-    y[i] = alpha * s + beta * y[i];
-  }
-}
-
 // Widest compile-time column chunk of spmm_rows_mapped.
-constexpr ord kSpmmMaxCols = 8;
-
-/// Rows [begin, end) of a W-column chunk: row i of `a` times columns
-/// [0, W) of the k-interleaved operand x (entry (j, t) at x[j*k + t]),
-/// scattered to y[t*ldy + rows[i]].  Each column accumulates in plain
-/// serial nnz order, independent of W and of the other columns.
-template <ord W>
-inline void spmm_chunk(const offset* rp, const ord* col, const double* val,
-                       const ord* rows, std::size_t begin, std::size_t end,
-                       const double* x, ord k, double* y, std::size_t ldy) {
-  for (std::size_t i = begin; i < end; ++i) {
-    double acc[W];
-    for (ord t = 0; t < W; ++t) acc[t] = 0.0;
-    for (offset kk = rp[i]; kk < rp[i + 1]; ++kk) {
-      const double* xrow =
-          x + static_cast<std::size_t>(col[kk]) * static_cast<std::size_t>(k);
-      const double akk = val[kk];
-      for (ord t = 0; t < W; ++t) acc[t] += akk * xrow[t];
-    }
-    const std::size_t row = static_cast<std::size_t>(rows[i]);
-    for (ord t = 0; t < W; ++t) {
-      y[static_cast<std::size_t>(t) * ldy + row] = acc[t];
-    }
-  }
-}
+constexpr std::size_t kSpmmMaxCols = 8;
 
 }  // namespace
 
@@ -106,17 +70,6 @@ void spmv(const CsrMatrix& a, std::span<const double> x, std::span<double> y) {
   assert(static_cast<ord>(x.size()) == a.cols);
   assert(static_cast<ord>(y.size()) == a.rows);
   spmv_rows(a, 0, a.rows, x, y);
-}
-
-void spmv(double alpha, const CsrMatrix& a, std::span<const double> x,
-          double beta, std::span<double> y) {
-  assert(static_cast<ord>(x.size()) == a.cols);
-  assert(static_cast<ord>(y.size()) == a.rows);
-  par::parallel_for_grained(
-      static_cast<std::size_t>(a.rows), [&](std::size_t b, std::size_t e) {
-        spmv_range_scaled(alpha, a, static_cast<ord>(b), static_cast<ord>(e),
-                          x.data(), beta, y.data());
-      });
 }
 
 void spmv_rows(const CsrMatrix& a, ord begin, ord end,
@@ -151,19 +104,24 @@ void spmm_rows_mapped(const CsrMatrix& a, std::span<const ord> rows,
   assert(rows.size() == static_cast<std::size_t>(a.rows));
   assert(k >= 1);
   if (rows.empty()) return;
-  const offset* rp = a.row_ptr.data();
-  const ord* col = a.col_idx.data();
-  const double* val = a.values.data();
-  // Column chunks of a compile-time width keep the accumulators in
-  // registers; each column's per-row sum still runs in ascending nnz
-  // order regardless of the chunking.
+  // Column chunks of a compile-time width keep the accumulators in one
+  // register group (for_each_row_product); each column's per-row sum
+  // still runs in ascending nnz order regardless of the chunking.
   par::parallel_for_grained(rows.size(), [&](std::size_t b, std::size_t e) {
-    for (ord t0 = 0; t0 < k; t0 += kSpmmMaxCols) {
-      const ord w = std::min<ord>(kSpmmMaxCols, k - t0);
-      util::with_width<kSpmmMaxCols>(w, [&]<ord W>() {
-        spmm_chunk<W>(rp, col, val, rows.data(), b, e, xk + t0, k,
-                      y + static_cast<std::size_t>(t0) * ldy, ldy);
-      });
+    const auto ncols = static_cast<std::size_t>(k);
+    for (std::size_t t0 = 0; t0 < ncols; t0 += kSpmmMaxCols) {
+      double* const yc = y + t0 * ldy;
+      util::with_width<kSpmmMaxCols>(
+          std::min(kSpmmMaxCols, ncols - t0), [&]<std::size_t W>() {
+            for_each_row_product<W>(
+                a, b, e, xk + t0, ncols,
+                [&](std::size_t i, const simd::VecN<W>& acc) {
+                  double out[W] = {};
+                  simd::store_n<W>(out, acc);
+                  const auto row = static_cast<std::size_t>(rows[i]);
+                  for (std::size_t t = 0; t < W; ++t) yc[t * ldy + row] = out[t];
+                });
+          });
     }
   });
 }

@@ -38,12 +38,23 @@
 // mul_add(a, b, c) = a*b + c is the *performance* contract (fused where
 // the ISA has FMA, two roundings on the scalar fallback); use the EFT
 // primitives, never mul_add, where exactness matters.
+//
+// VecN<W> (1 <= W <= 8) holds W contiguous doubles — one row of a
+// k-interleaved block operand — as one register group: one or two ymm
+// on both x86 ISAs (the last one masked below 4 lanes), NEON pairs with
+// a half-width tail; W = 1 and the scalar fallback are a plain array.
+// load_n/store_n touch exactly W lanes (lanes past W are neither read
+// nor written), and lane t of mul_add_n(a, b, c) is the scalar
+// a * b[t] + c[t] of the same build bit for bit: the compiler contracts
+// both forms into an FMA, or neither (see mul_add_n).
 
 #include "util/eft.hpp"
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <type_traits>
 
 #if !defined(TSBO_DISABLE_SIMD)
 #if defined(__AVX512F__)
@@ -234,6 +245,150 @@ inline double mul_add(double a, double b, double c) {
 #else
   return a * b + c;
 #endif
+}
+
+// ---- partial-width register groups (VecN, see the header comment) ----
+
+/// W lanes as a plain array: the scalar fallback at every width, and
+/// W = 1 on every ISA (a lone column stays the scalar loop).
+template <std::size_t W>
+struct ArrayN {
+  double v[W];
+};
+
+// One register of a RegN and a broadcast into it.  ymm on both x86
+// ISAs: on an AVX-512 Xeon, ymm ran the 27-point block SpMM faster than
+// a masked zmm at W = 3 and 4, and level at W = 8.
+#if defined(TSBO_SIMD_AVX512) || defined(TSBO_SIMD_AVX2)
+#define TSBO_SIMD_VECN_YMM 1
+using RegD = __m256d;
+inline constexpr std::size_t kRegLanes = 4;
+inline RegD splat(double a) { return _mm256_set1_pd(a); }
+/// Masks the first n lanes of a ymm (n < 4).
+inline __m256i mask4(std::size_t n) {
+  return _mm256_setr_epi64x(n > 0 ? -1 : 0, n > 1 ? -1 : 0, n > 2 ? -1 : 0,
+                            0);
+}
+#elif defined(TSBO_SIMD_NEON)
+using RegD = float64x2_t;  // an odd W's last pair uses its low half
+inline constexpr std::size_t kRegLanes = 2;
+inline RegD splat(double a) { return vdupq_n_f64(a); }
+#endif
+
+#if defined(TSBO_SIMD_VECN_YMM) || defined(TSBO_SIMD_NEON)
+#define TSBO_SIMD_VECN_REG 1
+template <std::size_t W>
+struct RegN {
+  RegD v[(W + kRegLanes - 1) / kRegLanes];
+};
+template <std::size_t W>
+using VecN = std::conditional_t<W == 1, ArrayN<W>, RegN<W>>;
+#else
+template <std::size_t W>
+using VecN = ArrayN<W>;
+#endif
+
+template <std::size_t W>
+inline constexpr bool kArrayN = std::is_same_v<VecN<W>, ArrayN<W>>;
+
+template <std::size_t W>
+inline VecN<W> zero_n() {
+  static_assert(W >= 1 && W <= 8);
+  VecN<W> r{};
+  if constexpr (kArrayN<W>) {
+    for (std::size_t l = 0; l < W; ++l) r.v[l] = 0.0;
+  } else {
+#if defined(TSBO_SIMD_VECN_REG)
+    for (auto& q : r.v) q = splat(0.0);
+#endif
+  }
+  return r;
+}
+
+/// Loads p[0..W); nothing past p[W - 1] is read.
+template <std::size_t W>
+inline VecN<W> load_n(const double* p) {
+  VecN<W> r{};
+  if constexpr (kArrayN<W>) {
+    for (std::size_t l = 0; l < W; ++l) r.v[l] = p[l];
+  } else {
+#if defined(TSBO_SIMD_VECN_YMM)
+    for (std::size_t j = 0; 4 * j < W; ++j) {
+      const std::size_t n = W - 4 * j;
+      r.v[j] = n >= 4 ? _mm256_loadu_pd(p + 4 * j)
+                      : _mm256_maskload_pd(p + 4 * j, mask4(n));
+    }
+#elif defined(TSBO_SIMD_NEON)
+    for (std::size_t j = 0; 2 * j < W; ++j) {
+      r.v[j] = 2 * j + 1 < W
+                   ? vld1q_f64(p + 2 * j)
+                   : vcombine_f64(vld1_f64(p + 2 * j), vdup_n_f64(0.0));
+    }
+#endif
+  }
+  return r;
+}
+
+/// Stores lanes [0, W) to p[0..W); nothing past p[W - 1] is written.
+template <std::size_t W>
+inline void store_n(double* p, const VecN<W>& a) {
+  if constexpr (kArrayN<W>) {
+    for (std::size_t l = 0; l < W; ++l) p[l] = a.v[l];
+  } else {
+#if defined(TSBO_SIMD_VECN_YMM)
+    for (std::size_t j = 0; 4 * j < W; ++j) {
+      const std::size_t n = W - 4 * j;
+      if (n >= 4) {
+        _mm256_storeu_pd(p + 4 * j, a.v[j]);
+      } else {
+        _mm256_maskstore_pd(p + 4 * j, mask4(n), a.v[j]);
+      }
+    }
+#elif defined(TSBO_SIMD_NEON)
+    for (std::size_t j = 0; 2 * j < W; ++j) {
+      if (2 * j + 1 < W) {
+        vst1q_f64(p + 2 * j, a.v[j]);
+      } else {
+        vst1_f64(p + 2 * j, vget_low_f64(a.v[j]));
+      }
+    }
+#endif
+  }
+}
+
+/// Lane t: a * b[t] + c[t], written with vector operators so the
+/// compiler fuses it exactly where it fuses the scalar expression (an
+/// FMA from -O2 with FMA hardware, mul then add otherwise): each lane
+/// rounds as the scalar loop of the same build.
+template <std::size_t W>
+inline VecN<W> mul_add_n(double a, const VecN<W>& b, const VecN<W>& c) {
+  VecN<W> r{};
+  if constexpr (kArrayN<W>) {
+    for (std::size_t l = 0; l < W; ++l) r.v[l] = a * b.v[l] + c.v[l];
+  } else {
+#if defined(TSBO_SIMD_VECN_REG)
+    const RegD av = splat(a);
+    for (std::size_t j = 0; j < std::size(r.v); ++j) {
+      r.v[j] = av * b.v[j] + c.v[j];
+    }
+#endif
+  }
+  return r;
+}
+
+/// Lane t: b[t] * a.
+template <std::size_t W>
+inline VecN<W> mul_n(const VecN<W>& b, double a) {
+  VecN<W> r{};
+  if constexpr (kArrayN<W>) {
+    for (std::size_t l = 0; l < W; ++l) r.v[l] = b.v[l] * a;
+  } else {
+#if defined(TSBO_SIMD_VECN_REG)
+    const RegD av = splat(a);
+    for (std::size_t j = 0; j < std::size(r.v); ++j) r.v[j] = b.v[j] * av;
+#endif
+  }
+  return r;
 }
 
 // ---- horizontal reductions (fixed order) -----------------------------

@@ -46,7 +46,7 @@ enum class Phase : std::uint8_t {
   kOrthoUpdate,  ///< V -= Q R
   kPrecond,      ///< preconditioner applies
   kSpmvComm,     ///< halo exchange of the distributed SpMV
-  kSpmvLocal,    ///< local SpMV rows
+  kSpmvLocal,    ///< local SpMV rows and the MPK recurrence pass
   kTotal,        ///< the whole solve
 };
 inline constexpr std::size_t kPhaseCount = 11;

@@ -4,6 +4,7 @@
 
 #include "krylov/matrix_powers.hpp"
 #include "krylov/sstep_gmres.hpp"
+#include "par/config.hpp"
 #include "par/spmd.hpp"
 #include "precond/jacobi.hpp"
 #include "sparse/generators.hpp"
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 namespace {
@@ -108,6 +110,61 @@ TEST(MatrixPowers, ChebyshevThreeTermRecurrence) {
       }
     }
   });
+}
+
+TEST(MatrixPowers, RecurrencePassBitwiseAcrossLanes) {
+  // The recurrence pass after each operator apply runs over the rank's
+  // lanes.  It is element-wise, so the basis bits must not depend on
+  // the lane count, at block widths 1 and 4: the Chebyshev steps carry
+  // theta, sigma != 0 and gamma != 1, the gamma-scaled Newton steps
+  // theta and gamma.  The pass is MPK work, timed as spmv/local: one
+  // more interval per step than a monomial run, which has no pass.
+  const std::size_t saved_grain = par::parallel_grain();
+  par::set_parallel_grain(64);
+  const auto a = sparse::laplace2d_9pt(31, 29);
+  const auto n = static_cast<index_t>(a.rows);
+  const index_t s = 5;
+  // The monomial run first: it sets the interval count to compare to.
+  const krylov::KrylovBasis bases[] = {
+      krylov::KrylovBasis::monomial(10),
+      krylov::KrylovBasis::chebyshev(10, s, 0.1, 7.9),
+      krylov::KrylovBasis::newton(10, s, 0.1, 7.9).with_gamma_scale(0.5)};
+  for (const index_t b : {1, 4}) {
+    Matrix start(n, b);
+    util::Xoshiro256 rng(17);
+    util::fill_normal(rng, start.data());
+    std::uint64_t monomial_intervals = 0;
+    for (const auto& basis : bases) {
+      const bool monomial = basis.kind() == krylov::BasisKind::kMonomial;
+      std::vector<double> ref;
+      for (const unsigned lanes : {1u, 2u, 7u}) {
+        SCOPED_TRACE(testing::Message() << "b=" << b << " lanes=" << lanes
+                                        << " basis=" << int(basis.kind()));
+        par::set_num_threads(lanes);
+        Matrix cols(n, (s + 1) * b);
+        dense::copy(start.view(), cols.view().block(0, 0, n, b));
+        util::PhaseTimers timers;
+        par::spmd_run(1, [&](par::Communicator& comm) {
+          const sparse::DistCsr dist(a, sparse::RowPartition(a.rows, 1), 0);
+          const krylov::PrecOperator op(dist, nullptr);
+          krylov::matrix_powers(comm, op, basis, cols.view(), 1, s, &timers,
+                                b);
+        });
+        const std::uint64_t intervals = timers.count(util::Phase::kSpmvLocal);
+        if (monomial) monomial_intervals = intervals;
+        EXPECT_EQ(intervals, monomial_intervals + (monomial ? 0 : s));
+        if (ref.empty()) {
+          ref.assign(cols.data().begin(), cols.data().end());
+          continue;
+        }
+        ASSERT_EQ(std::memcmp(cols.data().data(), ref.data(),
+                              ref.size() * sizeof(double)),
+                  0);
+      }
+    }
+  }
+  par::set_num_threads(0);
+  par::set_parallel_grain(saved_grain);
 }
 
 TEST(MatrixPowers, PreconditionedOperatorAppliesMinvFirst) {

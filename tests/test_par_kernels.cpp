@@ -418,35 +418,16 @@ TEST_F(ParKernels, SpmvBitwiseAcrossThreadCounts) {
   const Matrix xm = random_matrix(a.cols, 1, 9);
   const std::vector<double> x(xm.data().begin(), xm.data().end());
 
-  std::vector<double> ref, ref_scaled;
+  std::vector<double> ref;
   for (const unsigned t : sweep_thread_counts()) {
     par::set_num_threads(t);
     std::vector<double> y(static_cast<std::size_t>(a.rows), 0.0);
     sparse::spmv(a, x, y);
-    std::vector<double> ys(static_cast<std::size_t>(a.rows), 1.5);
-    sparse::spmv(0.75, a, x, -0.25, ys);
     if (ref.empty()) {
       ref = y;
-      ref_scaled = ys;
     } else {
       EXPECT_EQ(ref, y) << "threads = " << t;
-      EXPECT_EQ(ref_scaled, ys) << "threads = " << t;
     }
-  }
-}
-
-TEST_F(ParKernels, SpmvScaledMatchesPlainPlusAxpby) {
-  // The unified pointer-based path: alpha/beta variant must equal
-  // alpha * (A x) + beta * y against the plain product.
-  const sparse::CsrMatrix a = sparse::laplace2d_9pt(41, 37);
-  const Matrix xm = random_matrix(a.cols, 1, 10);
-  const std::vector<double> x(xm.data().begin(), xm.data().end());
-  std::vector<double> ax(static_cast<std::size_t>(a.rows), 0.0);
-  sparse::spmv(a, x, ax);
-  std::vector<double> y(static_cast<std::size_t>(a.rows), 2.0);
-  sparse::spmv(3.0, a, x, -1.0, y);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_NEAR(y[i], 3.0 * ax[i] - 2.0, 1e-12);
   }
 }
 

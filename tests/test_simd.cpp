@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -175,6 +176,60 @@ TEST(Simd, ReduceDdFoldsLanesAscending) {
   const eft::dd got = simd::reduce(acc);
   EXPECT_EQ(got.hi, ref.hi);
   EXPECT_EQ(got.lo, ref.lo);
+}
+
+TEST(Simd, PartialWidthTouchesExactlyWLanes) {
+  // VecN<W> carries one row of a k-interleaved block operand: load_n
+  // and store_n must move exactly W lanes (sentinels past W untouched,
+  // -0.0 kept), and each lane of mul_add_n / mul_n must be the scalar
+  // a * b + c / multiply of this build bit for bit, on every ISA build.
+  constexpr std::size_t kPad = 16;
+  const std::uint64_t sentinel = 0x7ff8'dead'beef'0001ULL;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  util::Xoshiro256 rng(5);
+  for (std::size_t w = 1; w <= 8; ++w) {
+    util::with_width<std::size_t{8}>(w, [&]<std::size_t W>() {
+      SCOPED_TRACE(testing::Message() << "W=" << W);
+      // Exactly W elements, so a read past lane W - 1 leaves the buffer.
+      const double a = 1.0 + std::ldexp(1.0, -30);
+      std::vector<double> src(W), b(W), c(W);
+      util::fill_normal(rng, src);
+      util::fill_normal(rng, b);
+      // c = -(a*b rounded): a fused a*b + c leaves the product's rounding
+      // error, mul + add leaves 0, so a lane fused differently from the
+      // scalar expression shows.
+      for (std::size_t l = 0; l < W; ++l) c[l] = -(a * b[l]);
+      src[0] = -0.0;
+      c[W - 1] = -0.0;
+      std::vector<double> dst(kPad, std::bit_cast<double>(sentinel));
+      simd::store_n<W>(dst.data(), simd::load_n<W>(src.data()));
+      for (std::size_t l = 0; l < kPad; ++l) {
+        ASSERT_EQ(bits(dst[l]), l < W ? bits(src[l]) : sentinel) << l;
+      }
+
+      std::vector<double> fma_out(kPad, std::bit_cast<double>(sentinel));
+      std::vector<double> mul_out(fma_out);
+      const simd::VecN<W> vb = simd::load_n<W>(b.data());
+      simd::store_n<W>(fma_out.data(), simd::mul_add_n<W>(
+                                           a, vb, simd::load_n<W>(c.data())));
+      // mul_n on another operand: a product shared with the FMA above
+      // would keep the compiler from fusing the FMA.
+      simd::store_n<W>(mul_out.data(),
+                       simd::mul_n<W>(simd::load_n<W>(src.data()), a));
+      std::vector<double> zeros(W, std::bit_cast<double>(sentinel));
+      simd::store_n<W>(zeros.data(), simd::zero_n<W>());
+      for (std::size_t l = 0; l < kPad; ++l) {
+        if (l >= W) {
+          ASSERT_EQ(bits(fma_out[l]), sentinel) << l;
+          ASSERT_EQ(bits(mul_out[l]), sentinel) << l;
+          continue;
+        }
+        ASSERT_EQ(bits(fma_out[l]), bits(a * b[l] + c[l])) << l;
+        ASSERT_EQ(bits(mul_out[l]), bits(src[l] * a)) << l;
+        ASSERT_EQ(bits(zeros[l]), bits(0.0)) << l;
+      }
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,9 +455,6 @@ TEST_F(SimdParKernels, SpmvBitwiseAcrossThreadCountsBothRowPaths) {
     par::set_num_threads(t);
     util::aligned_vector<double> y(static_cast<std::size_t>(a.rows), 0.0);
     sparse::spmv(a, x, y);
-    util::aligned_vector<double> y2(y);
-    sparse::spmv(0.7, a, x, -0.3, y2);
-    y.insert(y.end(), y2.begin(), y2.end());
     if (t == 1u) {
       ref = y;
       continue;

@@ -93,16 +93,6 @@ TEST(Spmv, MatchesDenseProduct) {
   EXPECT_DOUBLE_EQ(y[2], 19.0);
 }
 
-TEST(Spmv, AlphaBetaForm) {
-  const auto m = small_matrix();
-  const std::vector<double> x = {1.0, 2.0, 3.0};
-  std::vector<double> y = {1.0, 1.0, 1.0};
-  sparse::spmv(2.0, m, x, -1.0, y);
-  EXPECT_DOUBLE_EQ(y[0], -1.0);
-  EXPECT_DOUBLE_EQ(y[1], 17.0);
-  EXPECT_DOUBLE_EQ(y[2], 37.0);
-}
-
 TEST(Spmv, RowRangeSlices) {
   const auto m = small_matrix();
   const std::vector<double> x = {1.0, 2.0, 3.0};
