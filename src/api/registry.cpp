@@ -15,6 +15,14 @@ namespace {
 
 using sparse::ord;
 
+/// BCGS2 with a fixed intra-block factorization, as a panel kernel.
+template <ortho::IntraKind kIntra>
+void bcgs2_panel(ortho::OrthoContext& ctx, dense::ConstMatrixView q,
+                 dense::MatrixView v, dense::MatrixView r_prev,
+                 dense::MatrixView r_diag) {
+  ortho::bcgs2(ctx, q, v, r_prev, r_diag, kIntra);
+}
+
 Registry<OrthoEntry> make_ortho_registry() {
   Registry<OrthoEntry> reg("ortho scheme");
 
@@ -53,19 +61,24 @@ Registry<OrthoEntry> make_ortho_registry() {
   };
   scheme_entry("bcgs2", "BCGS2 + CholQR2, the original s-step (5 reduces/panel)",
                [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs2_manager(ortho::IntraKind::kCholQR2);
+                 return ortho::make_one_stage_manager(
+                     bcgs2_panel<ortho::IntraKind::kCholQR2>);
                });
   scheme_entry("bcgs2_hhqr", "BCGS2 + Householder QR, stability reference",
                [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs2_manager(ortho::IntraKind::kHHQR);
+                 return ortho::make_one_stage_manager(
+                     bcgs2_panel<ortho::IntraKind::kHHQR>);
                });
   scheme_entry("bcgs_pip", "single-pass BCGS-PIP (1 reduce, no re-ortho)",
                [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs_pip_manager();
+                 return ortho::make_one_stage_manager(ortho::bcgs_pip);
                });
+  // BCGS-PIP2 is the two-stage manager closing a big panel per panel
+  // (paper Section V); bs = 1 keeps that true at any panel width,
+  // including the narrower panels of an autopilot shrink.
   scheme_entry("bcgs_pip2", "BCGS-PIP2, the paper's one-stage (2 reduces)",
                [](const krylov::SStepGmresConfig&) {
-                 return ortho::make_bcgs_pip2_manager();
+                 return ortho::make_two_stage_manager(1);
                });
   scheme_entry("two_stage",
                "the paper's two-stage scheme (1 + s/bs reduces/panel)",

@@ -82,11 +82,6 @@ inline void dot2_dd_range(const double* a0, const double* a1,
 
 }  // namespace
 
-double dot_dd(const double* x, const double* y, index_t n) {
-  const dd acc = dot_dd_range(x, y, n);
-  return dd_to_double(acc);
-}
-
 void gemm_tn_dd(ConstMatrixView a, ConstMatrixView b, MatrixView c_hi,
                 MatrixView c_lo) {
   assert(c_hi.rows == a.cols && c_hi.cols == b.cols && a.rows == b.rows);
@@ -165,13 +160,6 @@ void gemm_tn_dd(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
   Matrix hi(c.rows, c.cols);
   gemm_tn_dd(a, b, hi.view(), lo.view());
   dd_round(hi.view(), lo.view(), c);
-}
-
-void gram_dd(ConstMatrixView a, MatrixView g) {
-  assert(g.rows == a.cols && g.cols == a.cols);
-  // gemm_tn_dd detects the self-Gram aliasing and computes only the
-  // upper triangle + mirror, so the output is bitwise symmetric.
-  gemm_tn_dd(a, a, g);
 }
 
 void dd_round(ConstMatrixView hi, ConstMatrixView lo, MatrixView out) {

@@ -48,18 +48,10 @@ using eft::dd_sub;
 /// Rounds back to working precision.
 inline double dd_to_double(const dd& x) { return eft::to_double(x); }
 
-/// Compensated dot product: exact products accumulated in normalized
-/// double-double, rounded on return.
-double dot_dd(const double* x, const double* y, index_t n);
-
-/// Gram matrix G = A^T A with double-double accumulation, rounded to
-/// double on output (bitwise symmetric).  Convenience wrapper over the
-/// pair-output gemm_tn_dd; use the pair output + potrf_upper_dd when
-/// the factorization must also run in dd.
-void gram_dd(ConstMatrixView a, MatrixView g);
-
 /// Block inner product C = A^T B with double-double accumulation,
-/// rounded to double on output.
+/// rounded to double on output (A^T A, passed as the same view twice,
+/// is bitwise symmetric).  Use the pair output + potrf_upper_dd when
+/// the factorization must also run in dd.
 void gemm_tn_dd(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 
 /// Pair-output block inner product: C = A^T B accumulated and returned

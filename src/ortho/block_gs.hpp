@@ -7,12 +7,8 @@
 // blocks:   r_prev (q x s) and r_diag (s x s)  so that, on exit,
 //   V_in == Q * r_prev + V_out * r_diag       (V_out orthonormal).
 //
-// Global synchronizations per call (the paper's accounting):
-//   bcgs_project            1
-//   bcgs2 (CholQR2 intra)   5   = 1 + 2 + 1 + 1        (Fig. 2b)
-//   bcgs2 (HHQR intra)      O(s)
-//   bcgs_pip                1                           (Fig. 4a)
-//   bcgs_pip2               2                           (Fig. 4b)
+// Global synchronizations per call: see the scheme table in
+// docs/algorithms.md.
 //
 // Conditioning contracts: the Pythagorean variants factor
 // S = V^T V - (Q^T V)^T (Q^T V), which squares the conditioning like
@@ -62,7 +58,9 @@ void bcgs_pip_factor(OrthoContext& ctx, ConstMatrixView q, ConstMatrixView v,
                      MatrixView r_prev, MatrixView r_diag);
 
 /// BCGS-PIP2 (paper Fig. 4b): BCGS-PIP twice with triangular fix-ups.
-/// Two reduces.  With q == 0 this is CholQR2.
+/// Two reduces.  With q == 0 this is CholQR2.  The `bcgs_pip2` solver
+/// scheme runs the same passes through make_two_stage_manager(1)
+/// (manager.hpp); this free kernel is the one bench_fig07 times.
 void bcgs_pip2(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
                MatrixView r_prev, MatrixView r_diag);
 

@@ -2,15 +2,18 @@
 // Block-orthogonalization managers: the pluggable strategy the s-step
 // GMRES solver calls once per panel (paper Fig. 1 line 11 "BlkOrth").
 //
-// A manager owns the policy of *when* columns become final:
-//   * one-stage managers (BCGS2, BCGS-PIP2) finalize every panel
-//     immediately — the solver can extend the Hessenberg matrix and
-//     check convergence every s steps;
+// A manager owns the policy of *when* columns become final.  There are
+// two families:
+//   * one-stage managers (BCGS2, single-pass BCGS-PIP) run one panel
+//     kernel on each panel and finalize it immediately — the solver can
+//     extend the Hessenberg matrix and check convergence every s steps;
 //   * the two-stage manager (paper Fig. 5) only pre-processes panels
 //     (stage 1, one reduce each) and finalizes a whole big panel of bs
 //     columns at once (stage 2), so the Hessenberg/convergence
 //     granularity is bs steps — reproducing the paper's iteration
-//     counts (e.g. 60255 vs 60300 in Table III).
+//     counts (e.g. 60255 vs 60300 in Table III).  With bs = 1 every
+//     panel closes its own big panel on arrival, which is BCGS-PIP2
+//     (paper Fig. 4b; Section V) at any panel width.
 //
 // Bookkeeping contract: the solver maintains, alongside the basis, the
 // (m+1)x(m+1) matrices R (coefficients of the raw Krylov columns in the
@@ -27,21 +30,23 @@
 // conditions (1)/(5)/(9), i.e. kappa < eps^{-1/2} ~ 6.7e7 in plain
 // double, extended to ~1e15 when OrthoContext::mixed_precision_gram
 // keeps the Gram matrices in double-double through their Cholesky
-// factorizations.
+// factorizations.  A second pass over an O(1)-conditioned panel runs
+// in plain double (ScopedGramPrecision): BCGS2's and BCGS-PIP2's
+// re-orthogonalization, and the two-stage flush of a big panel whose
+// stage-1 factorizations all succeeded without a breakdown.
+//
+// Global synchronizations per panel: see the scheme table in
+// docs/algorithms.md.
 
 #include "ortho/block_gs.hpp"
 
 #include <memory>
-#include <string>
-#include <vector>
 
 namespace tsbo::ortho {
 
 class BlockOrthoManager {
  public:
   virtual ~BlockOrthoManager() = default;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 
   /// The solver is about to run MPK with basis column `start` as input.
   virtual void note_mpk_start(OrthoContext& ctx, MatrixView l,
@@ -95,28 +100,23 @@ class BlockOrthoManager {
   /// correction the finished basis would give.  A no-op when the
   /// cycle's closing flush kept nothing back.
   virtual void fold_correction(MatrixView /*y*/) const {}
-
-  /// Global synchronizations per s steps (the paper's accounting:
-  /// BCGS2+CholQR2 = 5, BCGS-PIP2 = 2, two-stage = 1 + s/bs).
-  [[nodiscard]] virtual double syncs_per_s_steps(index_t s,
-                                                 index_t bs) const = 0;
 };
 
-/// One-stage manager around BCGS2 (paper Fig. 2b) with the chosen
-/// intra-block factorization.
-std::unique_ptr<BlockOrthoManager> make_bcgs2_manager(
-    IntraKind intra = IntraKind::kCholQR2);
+/// A panel kernel of block_gs.hpp's shape: orthogonalizes v against q,
+/// writing r_prev (q x s) and r_diag (s x s).
+using PanelKernel = void (*)(OrthoContext& ctx, ConstMatrixView q,
+                             MatrixView v, MatrixView r_prev,
+                             MatrixView r_diag);
 
-/// One-stage manager around single-pass BCGS-PIP (one reduce per panel,
-/// *no* re-orthogonalization — ablation/diagnostic use).
-std::unique_ptr<BlockOrthoManager> make_bcgs_pip_manager();
-
-/// One-stage manager around BCGS-PIP2 (paper Fig. 4b).
-std::unique_ptr<BlockOrthoManager> make_bcgs_pip2_manager();
+/// One-stage manager: runs `kernel` on each panel against every earlier
+/// column and finalizes it on arrival (BCGS2 with an intra-block
+/// factorization, or single-pass BCGS-PIP for ablation/diagnostics).
+std::unique_ptr<BlockOrthoManager> make_one_stage_manager(PanelKernel kernel);
 
 /// Two-stage manager (paper Fig. 5): BCGS-PIP pre-processing per panel
-/// plus one big-panel BCGS-PIP every `bs` columns.  `bs` must be a
-/// multiple of the solver's step size s.
+/// plus one big-panel BCGS-PIP once at least `bs` columns are pending.
+/// The solver's factory takes `bs` as a multiple of its step size s;
+/// `bs = 1` closes every panel on arrival, which is BCGS-PIP2.
 std::unique_ptr<BlockOrthoManager> make_two_stage_manager(index_t bs);
 
 }  // namespace tsbo::ortho

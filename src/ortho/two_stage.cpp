@@ -5,6 +5,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace tsbo::ortho {
 
@@ -25,11 +26,13 @@ void copy_r_columns_to_l(ConstMatrixView r, MatrixView l, index_t c0,
 }
 
 // ---------------------------------------------------------------------------
-// One-stage managers: every panel is fully orthogonalized on arrival.
+// One-stage manager: every panel is fully orthogonalized on arrival.
 // ---------------------------------------------------------------------------
 
-class OneStageManager : public BlockOrthoManager {
+class OneStageManager final : public BlockOrthoManager {
  public:
+  explicit OneStageManager(PanelKernel kernel) : kernel_(kernel) {}
+
   void note_mpk_start(OrthoContext&, MatrixView l, index_t start) override {
     // MPK always starts from a final orthonormal column: L(:, start) = e.
     set_unit_column(l, start);
@@ -37,11 +40,8 @@ class OneStageManager : public BlockOrthoManager {
 
   index_t add_panel(OrthoContext& ctx, MatrixView basis, index_t q0, index_t s,
                     MatrixView r, MatrixView l) override {
-    ConstMatrixView qprev = basis.columns(0, q0);
-    MatrixView panel = basis.columns(q0, s);
-    MatrixView r_prev = r.block(0, q0, q0, s);
-    MatrixView r_diag = r.block(q0, q0, s, s);
-    run(ctx, qprev, panel, r_prev, r_diag);
+    kernel_(ctx, basis.columns(0, q0), basis.columns(q0, s),
+            r.block(0, q0, q0, s), r.block(q0, q0, s, s));
     copy_r_columns_to_l(r, l, q0, q0 + s);
     return q0 + s;
   }
@@ -53,70 +53,8 @@ class OneStageManager : public BlockOrthoManager {
 
   void reset(index_t, bool) override {}
 
- protected:
-  virtual void run(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-                   MatrixView r_prev, MatrixView r_diag) = 0;
-};
-
-class Bcgs2Manager final : public OneStageManager {
- public:
-  explicit Bcgs2Manager(IntraKind intra) : intra_(intra) {}
-
-  [[nodiscard]] std::string name() const override {
-    switch (intra_) {
-      case IntraKind::kCholQR2:
-        return "BCGS2(CholQR2)";
-      case IntraKind::kHHQR:
-        return "BCGS2(HHQR)";
-    }
-    return "BCGS2";
-  }
-
-  [[nodiscard]] double syncs_per_s_steps(index_t s, index_t) const override {
-    switch (intra_) {
-      case IntraKind::kCholQR2:
-        return 5.0;
-      case IntraKind::kHHQR:
-        return 3.0 + 3.0 * static_cast<double>(s);
-    }
-    return 5.0;
-  }
-
  private:
-  void run(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-           MatrixView r_prev, MatrixView r_diag) override {
-    bcgs2(ctx, q, v, r_prev, r_diag, intra_);
-  }
-
-  IntraKind intra_;
-};
-
-class BcgsPipManager final : public OneStageManager {
- public:
-  [[nodiscard]] std::string name() const override { return "BCGS-PIP"; }
-  [[nodiscard]] double syncs_per_s_steps(index_t, index_t) const override {
-    return 1.0;
-  }
-
- private:
-  void run(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-           MatrixView r_prev, MatrixView r_diag) override {
-    bcgs_pip(ctx, q, v, r_prev, r_diag);
-  }
-};
-
-class BcgsPip2Manager final : public OneStageManager {
- public:
-  [[nodiscard]] std::string name() const override { return "BCGS-PIP2"; }
-  [[nodiscard]] double syncs_per_s_steps(index_t, index_t) const override {
-    return 2.0;
-  }
-
- private:
-  void run(OrthoContext& ctx, ConstMatrixView q, MatrixView v,
-           MatrixView r_prev, MatrixView r_diag) override {
-    bcgs_pip2(ctx, q, v, r_prev, r_diag);
-  }
+  PanelKernel kernel_;
 };
 
 // ---------------------------------------------------------------------------
@@ -127,12 +65,6 @@ class TwoStageManager final : public BlockOrthoManager {
  public:
   explicit TwoStageManager(index_t bs) : bs_(bs) {
     if (bs <= 0) throw std::invalid_argument("TwoStageManager: bs <= 0");
-  }
-
-  [[nodiscard]] std::string name() const override { return "Two-stage"; }
-
-  [[nodiscard]] double syncs_per_s_steps(index_t s, index_t bs) const override {
-    return 1.0 + static_cast<double>(s) / static_cast<double>(bs > 0 ? bs : bs_);
   }
 
   void reset(index_t n_seed, bool fold_close) override {
@@ -186,6 +118,9 @@ class TwoStageManager final : public BlockOrthoManager {
     if (big_begin_ == 0 || q0 < big_begin_) {
       throw std::logic_error("TwoStageManager: panels must arrive in order");
     }
+    // The first stage-1 pass of a big panel records the breakdown count
+    // that decides the flush's Gram precision.
+    if (pending_ == 0) breakdowns_at_open_ = ctx.cholesky_breakdowns;
     // Stage 1 (Fig. 5 line 14): one BCGS-PIP of the panel against ALL
     // previous columns — final ones and the pre-processed ones of the
     // open big panel.  One global reduce.
@@ -240,6 +175,12 @@ class TwoStageManager final : public BlockOrthoManager {
   /// bookkeeping for Hessenberg assembly.  Under `fold_close_`, a flush
   /// that completes the basis skips line 17's update and TRSM and keeps
   /// T_prev and T_diag for fold_correction().
+  ///
+  /// Stage 1 leaves the big panel O(1)-conditioned unless one of its
+  /// factorizations broke down, so the stage-2 Gram runs in plain
+  /// double after a clean stage 1 and keeps the double-double Gram
+  /// otherwise — BCGS-PIP2's rule for its second pass (block_gs.cpp),
+  /// which this flush is at bs = 1.
   index_t flush(OrthoContext& ctx, MatrixView basis, index_t q_end,
                 MatrixView r, MatrixView l) {
     const index_t qprev = big_begin_;
@@ -255,6 +196,9 @@ class TwoStageManager final : public BlockOrthoManager {
     const dense::Matrix rbig =
         dense::copy_of(r.block(qprev, qprev, nbig, nbig));
     const bool fold = fold_close_ && q_end == basis.cols;
+    const ScopedGramPrecision precision(
+        ctx, ctx.mixed_precision_gram &&
+                 ctx.cholesky_breakdowns != breakdowns_at_open_);
     if (fold) {
       bcgs_pip_factor(ctx, qfinal, big, t_prev.view(), t_diag.view());
     } else {
@@ -301,6 +245,8 @@ class TwoStageManager final : public BlockOrthoManager {
   index_t bs_;
   index_t big_begin_ = 1;  // first column of the open big panel
   index_t pending_ = 0;    // pre-processed columns awaiting stage 2
+  // ctx.cholesky_breakdowns before the open big panel's first stage 1.
+  int breakdowns_at_open_ = 0;
   std::vector<index_t> pending_starts_;
   // The transform a fold_close flush kept back (see reset()).
   bool fold_close_ = false;
@@ -312,16 +258,8 @@ class TwoStageManager final : public BlockOrthoManager {
 
 }  // namespace
 
-std::unique_ptr<BlockOrthoManager> make_bcgs2_manager(IntraKind intra) {
-  return std::make_unique<Bcgs2Manager>(intra);
-}
-
-std::unique_ptr<BlockOrthoManager> make_bcgs_pip_manager() {
-  return std::make_unique<BcgsPipManager>();
-}
-
-std::unique_ptr<BlockOrthoManager> make_bcgs_pip2_manager() {
-  return std::make_unique<BcgsPip2Manager>();
+std::unique_ptr<BlockOrthoManager> make_one_stage_manager(PanelKernel kernel) {
+  return std::make_unique<OneStageManager>(kernel);
 }
 
 std::unique_ptr<BlockOrthoManager> make_two_stage_manager(index_t bs) {

@@ -205,9 +205,7 @@ TEST(Registries, OrthoCoversEverySchemeName) {
       const api::SolverOptions opts =
           api::SolverOptions::parse("solver=sstep ortho=" + name);
       const krylov::SStepGmresConfig cfg = opts.sstep_config();
-      const auto mgr = krylov::make_manager(cfg);
-      ASSERT_NE(mgr, nullptr) << name;
-      EXPECT_FALSE(mgr->name().empty()) << name;
+      EXPECT_NE(krylov::make_manager(cfg), nullptr) << name;
     } else {
       const api::SolverOptions opts =
           api::SolverOptions::parse("solver=gmres ortho=" + name);
@@ -464,7 +462,7 @@ TEST(Facade, MatchesDirectKrylovRun) {
     std::vector<double> x(nloc, 0.0);
     krylov::SStepGmresConfig cfg;
     cfg.manager_factory = [](const krylov::SStepGmresConfig&) {
-      return ortho::make_bcgs_pip2_manager();
+      return ortho::make_two_stage_manager(1);
     };
     cfg.rtol = 1e-7;
     const auto rows = static_cast<dense::index_t>(nloc);

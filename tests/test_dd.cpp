@@ -315,10 +315,13 @@ TEST_F(DdParKernels, GemmTnDdBitwiseAcrossThreadCounts) {
 TEST_F(DdParKernels, RoundedGramIsBitwiseSymmetricAndThreadStable) {
   const Matrix a = random_matrix(4096 + 233, 6, 13);
   Matrix g1(6, 6), g2(6, 6);
+  // A^T A through the rounded gemm_tn_dd (the kernel block_dot runs
+  // under the dd Gram): the self-product path computes i <= j and
+  // mirrors.
   par::set_num_threads(1);
-  dense::gram_dd(a.view(), g1.view());
+  dense::gemm_tn_dd(a.view(), a.view(), g1.view());
   par::set_num_threads(7);
-  dense::gram_dd(a.view(), g2.view());
+  dense::gemm_tn_dd(a.view(), a.view(), g2.view());
   for (index_t j = 0; j < 6; ++j) {
     for (index_t i = 0; i < 6; ++i) {
       ASSERT_EQ(g1(i, j), g1(j, i));

@@ -257,7 +257,11 @@ TEST(DoubleDouble, DotBeatsDoubleOnCancellation) {
     y[static_cast<std::size_t>(i)] = yv;
     exact += static_cast<long double>(xv) * static_cast<long double>(yv);
   }
-  const double dd = dense::dot_dd(x.data(), y.data(), n);
+  // The dd dot as block_dot runs it: an n x 1 by n x 1 gemm_tn_dd.
+  double dd = 0.0;
+  dense::gemm_tn_dd(dense::ConstMatrixView{x.data(), n, 1, n},
+                    dense::ConstMatrixView{y.data(), n, 1, n},
+                    dense::MatrixView{&dd, 1, 1, 1});
   double plain = 0.0;
   for (index_t i = 0; i < n; ++i) {
     plain += x[static_cast<std::size_t>(i)] * y[static_cast<std::size_t>(i)];
@@ -277,7 +281,7 @@ TEST(DoubleDouble, DotBeatsDoubleOnCancellation) {
 TEST(DoubleDouble, GramMatchesHighPrecision) {
   const Matrix a = random_matrix(300, 4, 15);
   Matrix g(4, 4);
-  dense::gram_dd(a.view(), g.view());
+  dense::gemm_tn_dd(a.view(), a.view(), g.view());
   for (index_t i = 0; i < 4; ++i) {
     for (index_t j = 0; j < 4; ++j) {
       long double exact = 0.0L;

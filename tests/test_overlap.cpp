@@ -100,9 +100,11 @@ TEST(Overlap, SolveValuesIndependentOfOverlapAccounting) {
 
 // ---- sync counts over the ortho managers ----------------------------
 //
-// The paper's accounting (manager.hpp): BCGS2+CholQR2 = 5, BCGS-PIP2 =
-// 2, two-stage = 1 + s/bs global synchronizations per s steps.  These
-// pins prove no refactor of the reduce path adds or merges syncs.
+// The paper's accounting (docs/algorithms.md): BCGS2+CholQR2 = 5,
+// BCGS-PIP2 = 2, two-stage = 1 + s/bs global synchronizations per s
+// steps.  The managers come from the ortho registry, as the solver's
+// do.  These pins prove no refactor of the reduce path adds or merges
+// syncs.
 
 struct SyncCase {
   const char* scheme;
@@ -127,17 +129,14 @@ TEST_P(PaperSyncs, PerPanelAllreduceCountPinned) {
     // counts hold even if a random panel trips a Cholesky cliff.
     ctx.policy = ortho::BreakdownPolicy::kShift;
 
-    auto manager = [&]() -> std::unique_ptr<ortho::BlockOrthoManager> {
-      if (std::string(c.scheme) == "bcgs2") {
-        return ortho::make_bcgs2_manager(ortho::IntraKind::kCholQR2);
-      }
-      if (std::string(c.scheme) == "bcgs_pip2") {
-        return ortho::make_bcgs_pip2_manager();
-      }
-      return ortho::make_two_stage_manager(c.bs);
-    }();
-
     const index_t m = s * npanels;
+    const auto manager = krylov::make_manager(
+        api::SolverOptions::parse("solver=sstep ortho=" +
+                                  std::string(c.scheme) +
+                                  " s=" + std::to_string(s) +
+                                  " bs=" + std::to_string(c.bs > 0 ? c.bs : m) +
+                                  " m=" + std::to_string(m))
+            .sstep_config());
     Matrix basis(nloc, m + 1);
     Matrix r(m + 1, m + 1), l(m + 1, m + 1);
     util::Xoshiro256 rng(7 + comm.rank());
@@ -162,8 +161,6 @@ TEST_P(PaperSyncs, PerPanelAllreduceCountPinned) {
         static_cast<double>(comm.stats().allreduces) / npanels;
     EXPECT_NEAR(per_panel, c.per_panel, 1e-9)
         << c.scheme << " bs=" << c.bs;
-    EXPECT_NEAR(per_panel,
-                manager->syncs_per_s_steps(s, c.bs > 0 ? c.bs : m), 1e-9);
   });
 }
 

@@ -255,8 +255,10 @@ TEST(SimdKernels, DotRemainderEdgeCases) {
 }
 
 TEST(SimdKernels, DotDdRemainderEdgeCases) {
-  // The dd dot is exact to ~n * u_dd, so a long-double reference must
-  // agree to its own precision (~1e-19 relative).
+  // The dd dot (an n x 1 by n x 1 gemm_tn_dd, as block_dot runs it) is
+  // exact to ~n * u_dd, so a long-double reference must agree to its
+  // own precision (~1e-19 relative).  The lengths straddle the vector
+  // width and, past 256, the kernel's row-tile boundary.
   for (const std::size_t n :
        {std::size_t{1}, kW - 1, kW, kW + 1, 2 * kW + 1, 3 * kW - 1,
         std::size_t{256} + kW + 1}) {
@@ -266,8 +268,11 @@ TEST(SimdKernels, DotDdRemainderEdgeCases) {
     for (std::size_t i = 0; i < n; ++i) {
       ref += static_cast<long double>(x[i]) * static_cast<long double>(y[i]);
     }
-    const double got =
-        dense::dot_dd(x.data(), y.data(), static_cast<index_t>(n));
+    const auto rows = static_cast<index_t>(n);
+    double got = 0.0;
+    dense::gemm_tn_dd(dense::ConstMatrixView{x.data(), rows, 1, rows},
+                      dense::ConstMatrixView{y.data(), rows, 1, rows},
+                      dense::MatrixView{&got, 1, 1, 1});
     EXPECT_NEAR(got, static_cast<double>(ref),
                 1e-15 * (1.0 + std::abs(static_cast<double>(ref))))
         << n;
