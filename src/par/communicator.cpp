@@ -1,5 +1,6 @@
 #include "par/communicator.hpp"
 
+#include "par/wait.hpp"
 #include "util/eft.hpp"
 #include "util/timer.hpp"
 
@@ -57,11 +58,10 @@ void Communicator::barrier() {
   if (ctx_.arrived_.fetch_add(1, std::memory_order_acq_rel) ==
       ctx_.nranks_ - 1) {
     ctx_.arrived_.store(0, std::memory_order_relaxed);
-    ctx_.sense_.store(my_sense, std::memory_order_release);
+    ctx_.sense_.store(my_sense);
+    ctx_.sense_.notify_all();
   } else {
-    while (ctx_.sense_.load(std::memory_order_acquire) != my_sense) {
-      // spin
-    }
+    wait_while(ctx_.sense_, my_sense ^ 1);
   }
 }
 

@@ -12,14 +12,15 @@
 //
 // Collectives are blocking: every rank publishes its payload, folds
 // its peers' payloads in rank order after a barrier, and spins the
-// operation's full modeled fabric latency.  The one split-phase
-// operation is the neighbor exchange (exchange_begin/exchange_end):
-// the modeled p2p latency of a round is *discounted* by the wall-clock
-// compute performed between begin and end — the interior SpMV rows in
-// DistCsr::spmm — exactly as MPI_Irecv/Isend + interior work + Waitall
-// would hide it on a real fabric.  CommStats::overlapped_seconds
-// accounts the hidden share, injected_seconds the exposed share
-// actually spun.
+// operation's full modeled fabric latency.  Ranks wait at the barrier
+// in par::wait_while (wait.hpp): a short spin, then a sleep, so ranks
+// may outnumber cores.  The one split-phase operation is the neighbor
+// exchange (exchange_begin/exchange_end): the modeled p2p latency of a
+// round is *discounted* by the wall-clock compute performed between
+// begin and end — the interior SpMV rows in DistCsr::spmm — exactly as
+// MPI_Irecv/Isend + interior work + Waitall would hide it on a real
+// fabric.  CommStats::overlapped_seconds accounts the hidden share,
+// injected_seconds the exposed share actually spun.
 
 #include "par/network_model.hpp"
 #include "util/fault.hpp"
@@ -65,7 +66,7 @@ class SpmdContext {
   int nranks_;
   NetworkModel model_;
 
-  // Sense-reversing central barrier.
+  // Sense-reversing central barrier; waiters watch sense_.
   std::atomic<int> arrived_{0};
   std::atomic<int> sense_{0};
 

@@ -1,25 +1,13 @@
 #include "par/thread_pool.hpp"
 
 #include "par/config.hpp"
+#include "par/wait.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
+#include <utility>
 
 namespace tsbo::par {
-
-namespace {
-
-/// How long the dispatching thread polls for the last in-flight chunks
-/// before it blocks.  That wait is usually one chunk long, and it sits
-/// on the caller's critical path (an SPMD rank's, between collectives):
-/// blocking costs a futex wake-up and, on a virtual machine, the
-/// re-scheduling of a halted vCPU, which can take milliseconds on a
-/// busy host.  The poll yields, so on an oversubscribed host it hands
-/// its core to the worker that holds the last chunk.
-constexpr auto kCompletionSpin = std::chrono::microseconds(100);
-
-}  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
@@ -37,8 +25,9 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
     stop_ = true;
+    ++generation_;
   }
-  cv_work_.notify_all();
+  generation_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
@@ -59,108 +48,66 @@ void ThreadPool::parallel_for_chunked(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   chunk = std::max<std::size_t>(1, chunk);
-  if (workers_.empty()) {
-    // Single-lane pool: drain the chunks inline, same ascending order
-    // and same error contract (first exception rethrown after every
-    // chunk has run).
-    std::exception_ptr error;
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      try {
-        fn(begin, std::min(begin + chunk, n));
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
   const std::size_t nchunks = (n + chunk - 1) / chunk;
-
+  std::uint32_t generation = 0;
   {
     std::lock_guard lock(mutex_);
     job_ = Job{&fn, n, chunk, 0, nchunks, nullptr};
-    has_job_ = true;
-    ++generation_;
+    generation = ++generation_;
   }
-  cv_work_.notify_all();
+  generation_.notify_all();
+  run_chunks(generation);  // the caller also consumes chunks
+  wait_while(finished_, generation - 1);
+  std::exception_ptr error;
+  {
+    std::lock_guard lock(mutex_);
+    error = std::exchange(job_.error, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
+}
 
-  // The caller also consumes chunks.
+void ThreadPool::run_chunks(std::uint32_t generation) {
   for (;;) {
-    std::size_t begin, end;
+    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    std::size_t begin = 0, end = 0;
     {
       std::lock_guard lock(mutex_);
-      if (job_.next >= job_.n) break;
+      if (generation_ != generation || job_.next >= job_.n) return;
+      fn = job_.fn;
       begin = job_.next;
       end = std::min(begin + job_.chunk, job_.n);
       job_.next = end;
     }
+    std::exception_ptr error;
     try {
-      fn(begin, end);
+      (*fn)(begin, end);
     } catch (...) {
-      std::lock_guard lock(mutex_);
-      if (!job_.error) job_.error = std::current_exception();
+      error = std::current_exception();
     }
+    // The job cannot end while this chunk is unfinished.
     std::lock_guard lock(mutex_);
+    if (error && !job_.error) job_.error = error;
     if (--job_.remaining == 0) {
-      has_job_ = false;
-      cv_done_.notify_all();
-      break;
+      finished_ = generation;
+      finished_.notify_all();
+      return;
     }
   }
-
-  const auto spin_end = std::chrono::steady_clock::now() + kCompletionSpin;
-  while (has_job_.load(std::memory_order_acquire) &&
-         std::chrono::steady_clock::now() < spin_end) {
-    std::this_thread::yield();
-  }
-  std::exception_ptr error;
-  {
-    std::unique_lock lock(mutex_);
-    cv_done_.wait(lock, [this] { return !has_job_; });
-    error = job_.error;
-    job_.error = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {
   // Workers are lanes of somebody else's dispatch: kernels (and SPMD
   // launches) nested in a chunk run inline here.
   ScopedSerial serial;
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    wait_while(generation_, seen);
     {
-      std::unique_lock lock(mutex_);
-      cv_work_.wait(lock, [&] { return stop_ || (has_job_ && generation_ != seen); });
+      std::lock_guard lock(mutex_);
       if (stop_) return;
       seen = generation_;
-      fn = job_.fn;
     }
-    for (;;) {
-      std::size_t begin, end;
-      {
-        std::lock_guard lock(mutex_);
-        if (!has_job_ || job_.fn != fn || job_.next >= job_.n) break;
-        begin = job_.next;
-        end = std::min(begin + job_.chunk, job_.n);
-        job_.next = end;
-      }
-      try {
-        (*fn)(begin, end);
-      } catch (...) {
-        std::lock_guard lock(mutex_);
-        if (has_job_ && job_.fn == fn && !job_.error) {
-          job_.error = std::current_exception();
-        }
-      }
-      std::lock_guard lock(mutex_);
-      if (has_job_ && job_.fn == fn && --job_.remaining == 0) {
-        has_job_ = false;
-        cv_done_.notify_all();
-        break;
-      }
-    }
+    run_chunks(seen);
   }
 }
 

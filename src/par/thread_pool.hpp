@@ -6,11 +6,13 @@
 // owns a private pool of k = max(1, num_threads() / nranks) lanes (see
 // spmd.hpp), mirroring the paper's Summit layout where every MPI rank
 // drives a whole GPU.  Workers are serial-only (par::ScopedSerial):
-// anything nested in a chunk runs inline on the worker.
+// anything nested in a chunk runs inline on the worker.  Workers wait
+// for the next job, and the dispatcher for its job's last chunk, in
+// par::wait_while (wait.hpp): a short spin, then a sleep.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -52,6 +54,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Claims and runs chunks of job `generation` until none is left.
+  void run_chunks(std::uint32_t generation);
 
   struct Job {
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
@@ -63,15 +67,15 @@ class ThreadPool {
   };
 
   std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
+  std::mutex mutex_;  // guards job_ and stop_
   Job job_;
-  // Written under mutex_; the dispatching thread also polls it
-  // lock-free while its last chunks finish (see parallel_for_chunked).
-  std::atomic<bool> has_job_{false};
+  // Written under mutex_; 32-bit, so std::atomic::wait sleeps on the
+  // word itself.  Workers wait for generation_ to move (one bump per
+  // job, one more when the destructor sets stop_); the dispatcher waits
+  // for finished_, the last finished job's generation, to reach its own.
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> finished_{0};
   bool stop_ = false;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace tsbo::par

@@ -129,13 +129,4 @@ CsrMatrix extract_rows(const CsrMatrix& a, ord begin, ord end) {
   return m;
 }
 
-std::vector<double> dense_row(const CsrMatrix& a, ord i) {
-  std::vector<double> out(static_cast<std::size_t>(a.cols), 0.0);
-  for (offset k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-    out[static_cast<std::size_t>(a.col_idx[static_cast<std::size_t>(k)])] =
-        a.values[static_cast<std::size_t>(k)];
-  }
-  return out;
-}
-
 }  // namespace tsbo::sparse

@@ -78,7 +78,4 @@ bool approx_equal(const CsrMatrix& a, const CsrMatrix& b, double tol);
 /// Extracts rows [begin, end) keeping global column indices.
 CsrMatrix extract_rows(const CsrMatrix& a, ord begin, ord end);
 
-/// Dense row of the matrix (tests / debugging).
-std::vector<double> dense_row(const CsrMatrix& a, ord i);
-
 }  // namespace tsbo::sparse

@@ -3,6 +3,7 @@
 #include "par/config.hpp"
 #include "par/spmd.hpp"
 #include "par/thread_pool.hpp"
+#include "par/wait.hpp"
 #include "util/eft.hpp"
 #include "util/timer.hpp"
 
@@ -15,6 +16,8 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,6 +215,99 @@ TEST(Spmd, LaunchNestedInParallelJobsRunsRanksSingleLane) {
     EXPECT_EQ(chunks[job], std::set<std::thread::id>{rank_thread[job]})
         << "job " << job;
   }
+}
+
+// ---- the sleep paths of par::wait_while ------------------------------
+// Each case keeps one side busy past kWaitSpin, so the waiting side
+// blocks instead of spinning.  A lost wake-up hangs the case and shows
+// as a ctest timeout; every check is exact, none reads a clock.
+
+constexpr auto kPastSpin = 4 * par::kWaitSpin;
+
+TEST(WaitSleep, BarrierPeersBlockWhileOneRankSleeps) {
+  constexpr int kRanks = 7;
+  constexpr int kRounds = 3000;
+  std::vector<int> wrong(kRanks, 0);
+  std::vector<std::uint64_t> reduces(kRanks, 0);
+  par::spmd_run(kRanks, [&](par::Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    for (int round = 0; round < kRounds; ++round) {
+      // Before every 100th round one rank (a different one each time)
+      // arrives late, so its six peers sleep in the barrier.
+      if (round % 100 == 0 && comm.rank() == round / 100 % kRanks) {
+        std::this_thread::sleep_for(kPastSpin);
+      }
+      double v[2] = {static_cast<double>(comm.rank() + round), 1.0};
+      comm.allreduce_sum(v);
+      // sum over ranks of (rank + round) = 21 + 7 * round, exactly.
+      if (v[0] != 21.0 + 7.0 * round || v[1] != 7.0) ++wrong[r];
+    }
+    reduces[r] = comm.stats().allreduces;
+  });
+  EXPECT_EQ(wrong, std::vector<int>(kRanks, 0));
+  EXPECT_EQ(reduces, std::vector<std::uint64_t>(kRanks, kRounds));
+}
+
+/// Runs a two-chunk job whose chunks wait for each other to start, so
+/// the caller and one worker must each run one; the worker's chunk
+/// then sleeps `worker_sleep`.  Returns the two chunks' thread ids.
+std::vector<std::thread::id> rendezvous(par::ThreadPool& pool,
+                                        std::chrono::microseconds worker_sleep) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::vector<std::thread::id> ran(2);
+  pool.parallel_for_chunked(2, 1, [&](std::size_t b, std::size_t) {
+    ran[b] = std::this_thread::get_id();
+    started.fetch_add(1);
+    started.notify_all();
+    for (int seen = started.load(); seen < 2; seen = started.load()) {
+      started.wait(seen);
+    }
+    if (ran[b] != caller) std::this_thread::sleep_for(worker_sleep);
+  });
+  return ran;
+}
+
+TEST(WaitSleep, DispatcherBlocksOnASlowWorkerChunk) {
+  par::ThreadPool pool(2);
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto ran = rendezvous(pool, kPastSpin);
+    EXPECT_NE(ran[0], ran[1]) << "rep " << rep;
+  }
+}
+
+TEST(WaitSleep, IdleWorkersWakeForEveryJobAndKeepTheErrorContract) {
+  par::ThreadPool pool(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::this_thread::sleep_for(kPastSpin);  // idle workers go to sleep
+    if (rep % 2 == 0) {
+      // Hangs unless a sleeping worker wakes for the job.
+      const auto ran = rendezvous(pool, std::chrono::microseconds(0));
+      EXPECT_NE(ran[0], ran[1]) << "rep " << rep;
+      continue;
+    }
+    // Every chunk still runs, and the first throw comes back after them.
+    std::atomic<int> ran{0};
+    std::string what;
+    try {
+      pool.parallel_for_chunked(8, 1, [&](std::size_t b, std::size_t) {
+        ran.fetch_add(1);
+        if (b == 3) throw std::runtime_error("chunk 3");
+      });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "chunk 3") << "rep " << rep;
+    EXPECT_EQ(ran.load(), 8) << "rep " << rep;
+  }
+  // The pool is still usable after the throws.
+  std::atomic<long> sum{0};
+  pool.parallel_for(1000, [&](std::size_t b, std::size_t e) {
+    long local = 0;
+    for (std::size_t i = b; i < e; ++i) local += static_cast<long>(i);
+    sum.fetch_add(local);
+  });
+  EXPECT_EQ(sum.load(), 999L * 1000 / 2);
 }
 
 TEST(Spmd, CommStatsCountOperations) {

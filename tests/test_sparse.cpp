@@ -160,14 +160,6 @@ TEST(MatrixMarket, RejectsGarbage) {
   EXPECT_THROW(sparse::read_matrix_market(empty), std::runtime_error);
 }
 
-TEST(Csr, DenseRowExtraction) {
-  const auto m = small_matrix();
-  const auto row = sparse::dense_row(m, 2);
-  EXPECT_DOUBLE_EQ(row[0], 4.0);
-  EXPECT_DOUBLE_EQ(row[1], 0.0);
-  EXPECT_DOUBLE_EQ(row[2], 5.0);
-}
-
 
 /// spmm_rows_mapped as it stood with a runtime column count: 16-column
 /// chunks into a stack accumulator, each column summed in ascending nnz
